@@ -1,6 +1,7 @@
 #include "core/pipeline.h"
 
-#include <algorithm>
+#include <optional>
+#include <utility>
 
 #include "cnf/simplify.h"
 #include "cnf/tseitin.h"
@@ -41,25 +42,64 @@ const char* to_string(SolveBackend backend) {
   return "?";
 }
 
+bool is_circuit_backend(SolveBackend backend) {
+  return backend == SolveBackend::kCircuit ||
+         backend == SolveBackend::kCircuitRace;
+}
+
 namespace {
 
-/// Dispatches the post-encoding solve to the configured backend. The
-/// portfolio keeps PipelineOptions::solver as its lead config so backends
-/// agree on the answer and differ only in wall-clock time.
-struct BackendResult {
-  sat::SolveResult solve;
-  std::size_t winner = std::numeric_limits<std::size_t>::max();
-  std::uint64_t exported = 0;
-  std::uint64_t imported = 0;
-};
+/// Circuit-native backends: no CNF at all — the solver (or the circuit arm
+/// of the race) works on the instance AIG as given. Returns the witness.
+std::vector<bool> solve_circuit(const aig::Aig& circuit,
+                                const PipelineOptions& options,
+                                PipelineResult& result) {
+  CSAT_CHECK_MSG(options.proof == nullptr,
+                 "circuit backends emit no DRAT stream: learnt constraints "
+                 "are derived from implicit gate clauses the checker never "
+                 "sees; use backend=single for checkable UNSAT");
+  if (options.backend == SolveBackend::kCircuit) {
+    sat::CircuitSolver solver(
+        sat::CircuitSolverConfig::from_cnf(options.solver));
+    solver.load(circuit);
+    result.status = solver.solve(options.limits);
+    result.circuit_stats = solver.stats();
+    if (result.status != sat::Status::kSat) return {};
+    return solver.witness();
+  }
+  sat::CircuitRaceOptions ropt;
+  ropt.solver = options.solver;
+  ropt.circuit = sat::CircuitSolverConfig::from_cnf(options.solver);
+  ropt.limits = options.limits;
+  ropt.deterministic = options.portfolio_deterministic;
+  auto r = sat::solve_circuit_race(circuit, ropt);
+  result.status = r.status;
+  result.circuit_stats = r.circuit_stats;
+  result.solver_stats = r.cnf_stats;
+  if (r.winner != sat::CircuitRaceResult::Arm::kNone)
+    result.portfolio_winner = static_cast<std::size_t>(r.winner);
+  return std::move(r.witness);
+}
 
-BackendResult run_backend(const cnf::Cnf& formula,
-                          const PipelineOptions& options,
-                          sat::ProofTracer* proof) {
-  BackendResult out;
+/// CNF backends on the formula as handed to the solver. The portfolio keeps
+/// options.solver as its lead config so backends agree on the answer and
+/// differ only in wall-clock time. Returns the model (empty unless SAT).
+std::vector<bool> solve_cnf_backend(const cnf::Cnf& formula,
+                                    const PipelineOptions& options,
+                                    sat::ProofTracer* proof,
+                                    sat::Solver& solver,
+                                    PipelineResult& result) {
   if (options.backend == SolveBackend::kSingle) {
-    out.solve = sat::solve_cnf(formula, options.solver, options.limits, proof);
-    return out;
+    solver.reset();
+    if (proof != nullptr) solver.set_proof(proof);
+    solver.add_formula(formula);
+    result.status = solver.solve(options.limits);
+    solver.set_proof(nullptr);  // the tracer may not outlive this call
+    result.solver_stats = solver.stats();
+    if (result.status != sat::Status::kSat) return {};
+    CSAT_CHECK_MSG(formula.satisfied_by(solver.model()),
+                   "solver returned invalid model");
+    return solver.model();
   }
   sat::PortfolioOptions popt = sat::make_portfolio_options(
       options.solver, options.portfolio_size, options.limits);
@@ -67,146 +107,96 @@ BackendResult run_backend(const cnf::Cnf& formula,
   popt.sharing = options.portfolio_sharing;
   popt.proof = proof;  // non-null => solve_portfolio fails loudly
   auto r = sat::solve_portfolio(formula, popt);
-  out.solve.status = r.status;
-  out.solve.stats = r.stats;
-  out.solve.model = std::move(r.model);
-  out.winner = r.winner;
-  out.exported = r.clauses_exported;
-  out.imported = r.clauses_imported;
-  return out;
-}
-
-/// Optional CNF-level preprocessing; returns the formula to solve and a
-/// model hook that maps a model of it back onto the original variables.
-struct EncodedFormula {
-  cnf::Cnf formula;
-  std::optional<cnf::SimplifyResult> simplified;
-  std::optional<sat::RemapTracer> remap;
-
-  /// True when preprocessing already refuted the formula (no solve needed).
-  [[nodiscard]] bool proved_unsat() const {
-    return simplified.has_value() && simplified->unsat;
-  }
-
-  /// Proof sink for the backend solve. The simplifier already emitted its
-  /// steps in the encoded variable space; when it remapped, the solver's
-  /// steps must be translated back through inverse_map so the combined
-  /// stream refutes the encoded formula.
-  [[nodiscard]] sat::ProofTracer* solver_proof(sat::ProofTracer* proof) {
-    if (proof == nullptr || !simplified.has_value()) return proof;
-    remap.emplace(*proof, simplified->inverse_map);
-    return &*remap;
-  }
-
-  /// Maps a model of `formula` (dense, remapped variables when simplified)
-  /// back onto the original variable space.
-  [[nodiscard]] std::vector<bool> restore(std::vector<bool> model,
-                                          std::uint32_t original_vars) const {
-    if (simplified.has_value()) return simplified->extend_model(std::move(model));
-    model.resize(original_vars);
-    return model;
-  }
-};
-
-EncodedFormula maybe_simplify(cnf::Cnf cnf, const PipelineOptions& options,
-                              PipelineResult& result) {
-  EncodedFormula e;
-  if (!options.cnf_simplify) {
-    e.formula = std::move(cnf);
-    return e;
-  }
-  cnf::SimplifyParams sp = options.simplify_params;
-  sp.proof = options.proof;
-  e.simplified = cnf::simplify(cnf, sp);
-  e.formula = e.simplified->cnf;
-  result.simplified = true;
-  result.simplified_vars = e.formula.num_vars();
-  result.simplified_clauses = e.formula.num_clauses();
-  result.simplify_stats = e.simplified->stats;
-  return e;
-}
-
-/// Circuit-native backends: no Tseitin encoding, no synthesis arm, no CNF
-/// simplifier — the solver (or the circuit arm of the race) works on the
-/// instance AIG as given, so the whole run is "solve" time.
-PipelineResult run_circuit(const aig::Aig& instance,
-                           const PipelineOptions& options) {
-  CSAT_CHECK_MSG(options.proof == nullptr,
-                 "circuit backends emit no DRAT stream: learnt constraints "
-                 "are derived from implicit gate clauses the checker never "
-                 "sees; use backend=single for checkable UNSAT");
-  PipelineResult result;
-  result.ands_before = result.ands_after = instance.num_live_ands();
-  Stopwatch watch;
-  if (options.backend == SolveBackend::kCircuit) {
-    sat::CircuitSolver solver(
-        sat::CircuitSolverConfig::from_cnf(options.solver));
-    solver.load(instance);
-    result.status = solver.solve(options.limits);
-    result.circuit_stats = solver.stats();
-    if (result.status == sat::Status::kSat) result.witness = solver.witness();
-  } else {
-    sat::CircuitRaceOptions ropt;
-    ropt.solver = options.solver;
-    ropt.circuit = sat::CircuitSolverConfig::from_cnf(options.solver);
-    ropt.limits = options.limits;
-    ropt.deterministic = options.portfolio_deterministic;
-    auto r = sat::solve_circuit_race(instance, ropt);
-    result.status = r.status;
-    result.circuit_stats = r.circuit_stats;
-    result.solver_stats = r.cnf_stats;
-    if (r.winner != sat::CircuitRaceResult::Arm::kNone)
-      result.portfolio_winner = static_cast<std::size_t>(r.winner);
-    result.witness = std::move(r.witness);
-  }
-  result.solve_seconds = watch.seconds();
-  return result;
+  result.status = r.status;
+  result.solver_stats = r.stats;
+  result.portfolio_winner = r.winner;
+  result.clauses_exported = r.clauses_exported;
+  result.clauses_imported = r.clauses_imported;
+  return std::move(r.model);
 }
 
 PipelineResult run_baseline(const aig::Aig& instance,
-                            const PipelineOptions& options) {
+                            const PipelineOptions& options,
+                            sat::Solver& solver) {
   PipelineResult result;
   Stopwatch watch;
   const auto enc = cnf::tseitin_encode(instance);
   result.ands_before = result.ands_after = instance.num_live_ands();
   result.cnf_vars = enc.cnf.num_vars();
   result.cnf_clauses = enc.cnf.num_clauses();
+  result.preprocess_seconds = watch.seconds();
   if (enc.trivially_sat) {
-    result.preprocess_seconds = watch.seconds();
     result.status = sat::Status::kSat;
     result.witness.assign(instance.num_pis(), false);
     return result;
   }
-  auto ef = maybe_simplify(enc.cnf, options, result);
-  result.preprocess_seconds = watch.seconds();
-  if (ef.proved_unsat()) {
-    result.status = sat::Status::kUnsat;
-    return result;
-  }
-  watch.restart();
-  const auto r = run_backend(ef.formula, options, ef.solver_proof(options.proof));
-  result.solve_seconds = watch.seconds();
-  result.status = r.solve.status;
-  result.solver_stats = r.solve.stats;
-  result.portfolio_winner = r.winner;
-  result.clauses_exported = r.exported;
-  result.clauses_imported = r.imported;
-  if (r.solve.status == sat::Status::kSat) {
-    const auto model = ef.restore(r.solve.model, enc.cnf.num_vars());
+  const auto model = solve_encoded(enc.cnf, nullptr, options, solver, result);
+  if (result.status == sat::Status::kSat)
     result.witness = cnf::witness_from_model(instance, enc, model);
-  }
   return result;
 }
 
 }  // namespace
 
+std::vector<bool> solve_encoded(const cnf::Cnf& formula,
+                                const aig::Aig* circuit,
+                                const PipelineOptions& options,
+                                sat::Solver& solver, PipelineResult& result) {
+  Stopwatch watch;
+  if (is_circuit_backend(options.backend)) {
+    CSAT_CHECK_MSG(circuit != nullptr, "circuit backends need the AIG");
+    auto witness = solve_circuit(*circuit, options, result);
+    result.solve_seconds = watch.seconds();
+    return witness;
+  }
+
+  std::optional<cnf::SimplifyResult> simplified;
+  const cnf::Cnf* to_solve = &formula;
+  sat::ProofTracer* proof = options.proof;
+  std::optional<sat::RemapTracer> remap;
+  if (options.cnf_simplify) {
+    cnf::SimplifyParams sp = options.simplify_params;
+    sp.proof = options.proof;
+    simplified.emplace(cnf::simplify(formula, sp));
+    result.simplified = true;
+    result.simplified_vars = simplified->cnf.num_vars();
+    result.simplified_clauses = simplified->cnf.num_clauses();
+    result.simplify_stats = simplified->stats;
+    result.preprocess_seconds += watch.seconds();
+    watch.restart();
+    if (simplified->unsat) {
+      result.status = sat::Status::kUnsat;
+      return {};
+    }
+    to_solve = &simplified->cnf;
+    // The simplifier already traced its steps on the original variables;
+    // the solver's steps are translated back onto them.
+    if (proof != nullptr) {
+      remap.emplace(*proof, simplified->inverse_map);
+      proof = &*remap;
+    }
+  }
+
+  auto model = solve_cnf_backend(*to_solve, options, proof, solver, result);
+  result.solve_seconds = watch.seconds();
+  if (result.status != sat::Status::kSat) return {};
+  if (simplified.has_value()) return simplified->extend_model(std::move(model));
+  model.resize(formula.num_vars());
+  return model;
+}
+
 PipelineResult solve_instance(const aig::Aig& instance,
                               const PipelineOptions& options) {
-  if (options.backend == SolveBackend::kCircuit ||
-      options.backend == SolveBackend::kCircuitRace)
-    return run_circuit(instance, options);
+  sat::Solver solver(options.solver);
+  if (is_circuit_backend(options.backend)) {
+    PipelineResult result;
+    result.ands_before = result.ands_after = instance.num_live_ands();
+    result.witness =
+        solve_encoded(cnf::Cnf{}, &instance, options, solver, result);
+    return result;
+  }
   if (options.mode == PipelineMode::kBaseline)
-    return run_baseline(instance, options);
+    return run_baseline(instance, options, solver);
 
   // Select the policy and the mapper cost for the preprocessing arm.
   PreprocessOptions popt;
@@ -256,25 +246,9 @@ PipelineResult solve_instance(const aig::Aig& instance,
     result.witness.assign(instance.num_pis(), false);
     return result;
   }
-  watch.restart();
-  auto ef = maybe_simplify(p.cnf, options, result);
-  result.preprocess_seconds += watch.seconds();
-  if (ef.proved_unsat()) {
-    result.status = sat::Status::kUnsat;
-    return result;
-  }
-  watch.restart();
-  const auto r = run_backend(ef.formula, options, ef.solver_proof(options.proof));
-  result.solve_seconds = watch.seconds();
-  result.status = r.solve.status;
-  result.solver_stats = r.solve.stats;
-  result.portfolio_winner = r.winner;
-  result.clauses_exported = r.exported;
-  result.clauses_imported = r.imported;
-  if (r.solve.status == sat::Status::kSat) {
-    const auto model = ef.restore(r.solve.model, p.cnf.num_vars());
+  const auto model = solve_encoded(p.cnf, nullptr, options, solver, result);
+  if (result.status == sat::Status::kSat)
     result.witness = lut::witness_from_model(p.netlist, p.encoding_info, model);
-  }
   return result;
 }
 

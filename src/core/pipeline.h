@@ -59,6 +59,9 @@ enum class SolveBackend {
 
 [[nodiscard]] const char* to_string(SolveBackend backend);
 
+/// True for the backends that solve the instance AIG instead of its CNF.
+[[nodiscard]] bool is_circuit_backend(SolveBackend backend);
+
 struct PipelineOptions {
   PipelineMode mode = PipelineMode::kOurs;
   sat::SolverConfig solver = sat::SolverConfig::kissat_like();
@@ -146,6 +149,32 @@ struct PipelineResult {
 /// Runs one instance through the selected pipeline arm.
 PipelineResult solve_instance(const aig::Aig& instance,
                               const PipelineOptions& options);
+
+/// The post-encoding solve stage: every entry point ends here — each
+/// solve_instance arm (and so run_batch), and every SolveServer request.
+///
+/// * The CNF backends (kSingle, kPortfolio) solve `formula`, first through
+///   cnf::simplify when options.cnf_simplify. The circuit backends solve
+///   `*circuit` (required non-null) and ignore `formula` and the simplifier.
+/// * kSingle runs on the caller-owned `solver`: reset(), add the formula,
+///   solve(options.limits). The solver keeps its own config, so a server
+///   worker reuses its warm solver; options.solver configures the others.
+/// * A kSingle model is checked against the formula the solver saw; a
+///   wrong model is a solver bug and aborts (CSAT_CHECK), never a verdict.
+/// * options.proof gets the simplifier's steps and the solver's, the latter
+///   translated back through the simplifier's inverse_map, so the stream
+///   refutes `formula`. Proofs are kSingle only: the other backends abort
+///   on a non-null proof.
+///
+/// Sets status, solver_stats, circuit_stats, portfolio_winner, the
+/// clause-sharing totals, simplified_*, simplify_stats and solve_seconds,
+/// and adds the simplifier's time to preprocess_seconds. Returns the SAT
+/// assignment (empty otherwise): a model over `formula`'s variables for the
+/// CNF backends, a PI assignment of `*circuit` for the circuit backends.
+std::vector<bool> solve_encoded(const cnf::Cnf& formula,
+                                const aig::Aig* circuit,
+                                const PipelineOptions& options,
+                                sat::Solver& solver, PipelineResult& result);
 
 }  // namespace csat::core
 

@@ -23,7 +23,6 @@
 #include "gen/miter.h"
 #include "gen/random_circuit.h"
 #include "gen/suite.h"
-#include "sat/portfolio.h"
 #include "sat/proof.h"
 
 namespace csat::core {
@@ -118,9 +117,8 @@ struct BuiltInstance {
   bool trivially_unsat = false;
   /// The AIG for the circuit backends: the source circuit as parsed, or
   /// cnf::cnf_to_aig of a CNF source. Built only when the request asked
-  /// for a circuit backend (has_circuit), so CNF-only requests pay nothing.
+  /// for a circuit backend, so CNF-only requests pay nothing.
   aig::Aig circuit;
-  bool has_circuit = false;
 };
 
 BuiltInstance build_from_aig(aig::Aig g, bool want_circuit) {
@@ -131,10 +129,7 @@ BuiltInstance build_from_aig(aig::Aig g, bool want_circuit) {
   b.witness_units = g.num_pis();
   b.trivially_sat = enc.trivially_sat;
   b.trivially_unsat = enc.trivially_unsat;
-  if (want_circuit) {
-    b.circuit = std::move(g);
-    b.has_circuit = true;
-  }
+  if (want_circuit) b.circuit = std::move(g);
   return b;
 }
 
@@ -147,7 +142,6 @@ BuiltInstance build_from_cnf(cnf::Cnf formula, bool want_circuit) {
     // model. The key stays the CNF-domain hash — the verdict is a property
     // of the formula, not of which backend answered.
     b.circuit = cnf::cnf_to_aig(formula);
-    b.has_circuit = true;
   }
   b.formula = std::move(formula);
   return b;
@@ -274,11 +268,6 @@ class CountingDratTracer final : public sat::ProofTracer {
   std::uint64_t adds_ = 0;
   std::uint64_t deletes_ = 0;
 };
-
-bool is_circuit_backend(SolveBackend backend) {
-  return backend == SolveBackend::kCircuit ||
-         backend == SolveBackend::kCircuitRace;
-}
 
 BuiltInstance build_instance(const ServerRequest& request) {
   const bool want_circuit = is_circuit_backend(request.backend);
@@ -932,87 +921,38 @@ ServerResponse SolveServer::process(ServerRequest& request,
       if (proof.has_value()) proof->add(std::span<const cnf::Lit>{});
     } else if (built.trivially_sat) {
       response.status = sat::Status::kSat;
-      response.model_size = built.witness_units;
     } else {
-      // CNF preprocessing (request override, else the server default). The
-      // cache key was computed from the *original* formula above, so the
-      // cached verdict is identical whether or not a request simplifies.
-      cnf::SimplifyResult simplified;
-      const cnf::Cnf* to_solve = &built.formula;
-      bool proved_unsat = false;
-      // The circuit backends never touch the CNF, so the CNF preprocessor
-      // would be pure wasted work on those requests.
-      if (!is_circuit_backend(request.backend) &&
-          request.simplify.value_or(options_.default_simplify)) {
-        cnf::SimplifyParams sparams = options_.simplify_params;
-        sparams.proof = proof.has_value() ? &*proof : nullptr;
-        simplified = cnf::simplify(built.formula, sparams);
-        response.simplify_enabled = true;
-        response.simplified_vars = simplified.cnf.num_vars();
-        response.simplified_clauses = simplified.cnf.num_clauses();
-        response.simplify_stats = simplified.stats;
-        to_solve = &simplified.cnf;
-        proved_unsat = simplified.unsat;
-      }
-
-      if (proved_unsat) {
-        response.status = sat::Status::kUnsat;
-      } else if (request.backend == SolveBackend::kSingle) {
-        // When the simplifier remapped variables, the solver's proof steps
-        // are translated back so the file stays one derivation in the
-        // original formula's variable space.
-        sat::ProofTracer* solver_proof = proof.has_value() ? &*proof : nullptr;
-        std::optional<sat::RemapTracer> remap;
-        if (solver_proof != nullptr && response.simplify_enabled) {
-          remap.emplace(*solver_proof, simplified.inverse_map);
-          solver_proof = &*remap;
-        }
-        solver.reset();
-        if (solver_proof != nullptr) solver.set_proof(solver_proof);
-        solver.add_formula(*to_solve);
-        response.status = solver.solve(limits);
-        solver.set_proof(nullptr);  // the tracer dies with this request
-        response.stats = solver.stats();
-        if (response.status == sat::Status::kSat)
-          response.model_size = built.witness_units;
-      } else if (request.backend == SolveBackend::kCircuit) {
-        sat::CircuitSolver csolver(
-            sat::CircuitSolverConfig::from_cnf(options_.solver));
-        csolver.load(built.circuit);
-        response.status = csolver.solve(limits);
-        response.circuit_stats = csolver.stats();
-        response.circuit_backend = true;
-        if (response.status == sat::Status::kSat)
-          response.model_size = built.witness_units;
-      } else if (request.backend == SolveBackend::kCircuitRace) {
-        sat::CircuitRaceOptions ropt;
-        ropt.solver = options_.solver;
-        ropt.circuit = sat::CircuitSolverConfig::from_cnf(options_.solver);
-        ropt.limits = limits;
-        const auto r = sat::solve_circuit_race(built.circuit, ropt);
-        response.status = r.status;
-        response.stats = r.cnf_stats;
-        response.circuit_stats = r.circuit_stats;
-        response.circuit_backend = true;
-        response.race_winner =
-            r.winner == sat::CircuitRaceResult::Arm::kCircuit ? "circuit"
-            : r.winner == sat::CircuitRaceResult::Arm::kCnf   ? "cnf"
+      // The shared post-encoding stage (core/pipeline.h). The cache key was
+      // computed from the *original* formula above, so the cached verdict
+      // is identical whether or not a request simplifies.
+      PipelineOptions stage;
+      stage.solver = options_.solver;
+      stage.limits = limits;
+      stage.backend = request.backend;
+      stage.portfolio_size = request.portfolio_size != 0
+                                 ? request.portfolio_size
+                                 : options_.default_portfolio_size;
+      stage.cnf_simplify = request.simplify.value_or(options_.default_simplify);
+      stage.simplify_params = options_.simplify_params;
+      stage.proof = proof.has_value() ? &*proof : nullptr;
+      PipelineResult solved;
+      (void)solve_encoded(built.formula, &built.circuit, stage, solver,
+                          solved);
+      response.status = solved.status;
+      response.stats = solved.solver_stats;
+      response.simplify_enabled = solved.simplified;
+      response.simplified_vars = solved.simplified_vars;
+      response.simplified_clauses = solved.simplified_clauses;
+      response.simplify_stats = solved.simplify_stats;
+      response.circuit_backend = is_circuit_backend(request.backend);
+      response.circuit_stats = solved.circuit_stats;
+      if (request.backend == SolveBackend::kCircuitRace)
+        response.race_winner = solved.portfolio_winner == 0   ? "circuit"
+                               : solved.portfolio_winner == 1 ? "cnf"
                                                               : "none";
-        if (response.status == sat::Status::kSat)
-          response.model_size = built.witness_units;
-      } else {
-        const std::size_t n = request.portfolio_size != 0
-                                  ? request.portfolio_size
-                                  : options_.default_portfolio_size;
-        const auto popt =
-            sat::make_portfolio_options(options_.solver, n, limits);
-        auto r = sat::solve_portfolio(*to_solve, popt);
-        response.status = r.status;
-        response.stats = r.stats;
-        if (response.status == sat::Status::kSat)
-          response.model_size = built.witness_units;
-      }
     }
+    if (response.status == sat::Status::kSat)
+      response.model_size = built.witness_units;
 
     if (want_proof) {
       response.proof_requested = true;

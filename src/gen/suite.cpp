@@ -80,6 +80,21 @@ Aig build_datapath(Family family, int width, int variant, std::uint64_t seed) {
   return g;
 }
 
+/// build_datapath for the callers that mutate a gate (bug injection, a
+/// stuck-at fault). Only a small kRandomXor circuit can strash down to no
+/// gates at all; it is redrawn from a derived seed. A circuit with gates
+/// keeps its first draw, so every instance that generated before is
+/// unchanged.
+Aig build_gated_datapath(Family family, int width, std::uint64_t seed) {
+  for (int attempt = 0; attempt < 64; ++attempt) {
+    Aig g = build_datapath(family, width, 0, seed);
+    if (g.num_live_ands() > 0) return g;
+    seed = mix64(seed);
+  }
+  CSAT_CHECK_MSG(false, "no gated circuit in 64 draws");
+  return {};
+}
+
 const FamilyRange& range_of(const SuiteParams& p, Family f) {
   switch (f) {
     case Family::kMultiplier:
@@ -127,7 +142,8 @@ const char* family_name(Family f) {
 
 Instance make_lec_instance(Family family, int width, bool with_bug,
                            std::uint64_t seed, int index) {
-  const Aig golden = build_datapath(family, width, 0, seed);
+  const Aig golden = with_bug ? build_gated_datapath(family, width, seed)
+                              : build_datapath(family, width, 0, seed);
   Aig impl = family == Family::kRandomXor
                  ? golden  // self-miter; the bug is the only difference
                  : build_datapath(family, width, 1, seed);
@@ -144,9 +160,8 @@ Instance make_lec_instance(Family family, int width, bool with_bug,
 Instance make_atpg_instance(Family family, int width, std::uint64_t seed,
                             int index) {
   Rng rng(seed ^ 0xa79);
-  const Aig good = build_datapath(family, width, 0, seed);
+  const Aig good = build_gated_datapath(family, width, seed);
   const auto live = good.live_ands();
-  CSAT_CHECK(!live.empty());
   const std::uint32_t site = live[rng.next_below(live.size())];
   const bool value = rng.next_bool();
   const Aig faulty = inject_stuck_at(good, site, value);

@@ -582,18 +582,7 @@ void Solver::analyze(const Conflict& confl, std::vector<Lit>& learnt,
     } else {
       CSAT_DCHECK(cr != kClauseRefUndef);
       ClauseArena::Clause c = arena_[cr];
-      if (c.learnt()) {
-        bump_clause(c);
-        if (config_.dynamic_lbd) {
-          // Clauses that keep resolving conflicts at lower LBD rank better
-          // in reduce_db. Deliberately no promotion into the *protected*
-          // tier: permanent protection from recomputed LBDs bloats the DB
-          // on shallow searches (every clause looks like glue when the
-          // whole search fits in 30 levels).
-          const std::uint32_t lbd_now = compute_lbd(c.lits());
-          if (lbd_now < c.lbd()) c.set_lbd(lbd_now);
-        }
-      }
+      if (c.learnt()) bump_clause(c);
       clits = c.lits();
     }
     const std::size_t start = (p == kLitUndef) ? 0 : 1;

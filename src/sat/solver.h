@@ -142,12 +142,6 @@ struct SolverConfig {
   /// Also vivify irredundant (problem) clauses, shrinking the formula
   /// itself. Off by default: learnt clauses pay off faster per propagation.
   bool vivify_irredundant = false;
-  /// Glucose-style dynamic tier maintenance: when conflict analysis
-  /// resolves a learnt clause, its LBD is recomputed against the current
-  /// levels and re-stamped when improved, sharpening reduce_db ranking.
-  /// Off by default: on the shallow searches of this suite the re-ranking
-  /// reshuffles deletion order for no measured net win (see ROADMAP).
-  bool dynamic_lbd = false;
 
   /// --- propagation engine ---
   /// Flat watcher engine (the default): long-clause watchers live in one

@@ -242,6 +242,21 @@ TEST(Suite, MixesLecAndAtpg) {
   EXPECT_GT(atpg, 0);
 }
 
+TEST(Suite, GatelessRandomCircuitsAreRedrawn) {
+  // Seed 12 draws a small random-XOR circuit that strashes to no gates on a
+  // path that must mutate one (bug injection or a stuck-at fault); the
+  // generator redraws it instead of aborting.
+  const auto suite = make_training_suite(200, 12);
+  ASSERT_EQ(suite.size(), 200u);
+  for (const auto& inst : suite) {
+    EXPECT_EQ(inst.circuit.num_pos(), 1u) << inst.name;
+    if (inst.kind == Instance::Kind::kAtpg ||
+        inst.name.find("_bug") != std::string::npos) {
+      EXPECT_GT(inst.circuit.num_live_ands(), 0u) << inst.name;
+    }
+  }
+}
+
 TEST(Suite, TrainingInstancesAreSolvable) {
   // Every training instance must be solvable quickly — they feed the RL
   // reward oracle thousands of times.

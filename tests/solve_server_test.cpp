@@ -11,6 +11,7 @@
 #include <string>
 #include <vector>
 
+#include "aig/aiger_io.h"
 #include "aig/structural_hash.h"
 #include "cnf/cnf.h"
 #include "cnf/tseitin.h"
@@ -627,6 +628,82 @@ TEST(SolveServer, PortfolioBackendAgreesWithSequential) {
     EXPECT_TRUE(seq.error.empty()) << seq.error;
     EXPECT_NE(seq.status, sat::Status::kUnknown);
     EXPECT_EQ(seq.status, par.status) << "instance " << i;
+  }
+}
+
+TEST(SolveServer, MatchesPipelineOnEveryBackend) {
+  // The server and core::solve_instance(kBaseline) must run the same
+  // post-encoding solve: with the same solver config, simplifier params and
+  // budget, the sequential backend agrees on the search itself (conflicts,
+  // decisions, simplified size), the circuit backend on its gate
+  // propagations, and the racing backends on the verdict.
+  //
+  // Eight instances of the Fig. 4 suite covering every family and both
+  // verdicts. The equivalent wide-adder miters are left out: the circuit
+  // backend needs tens of seconds on them.
+  const auto all = gen::make_test_suite(16, 9);
+  std::vector<gen::Instance> suite;
+  for (const int i : {1, 3, 7, 8, 10, 13, 14, 15}) suite.push_back(all[i]);
+  const int kCount = static_cast<int>(suite.size());
+  sat::Limits limits;
+  limits.max_conflicts = 200000;
+
+  Collector collector;
+  core::ServerOptions so = collector.options(/*workers=*/2,
+                                             /*cache_capacity=*/0);
+  so.solver = sat::SolverConfig::cadical_like();
+  so.default_limits = limits;
+  so.simplify_params.bve_occurrence_limit = 8;
+  core::SolveServer server(so);
+
+  const core::SolveBackend backends[] = {
+      core::SolveBackend::kSingle, core::SolveBackend::kPortfolio,
+      core::SolveBackend::kCircuit, core::SolveBackend::kCircuitRace};
+  std::vector<aig::Aig> circuits;
+  for (int i = 0; i < kCount; ++i) {
+    const std::string path =
+        ::testing::TempDir() + cat("/server_pipeline_parity_", i) + ".aig";
+    aig::write_aiger_file(suite[i].circuit, path);
+    // The pipeline solves the circuit exactly as the server parses it.
+    circuits.push_back(aig::read_aiger_file(path));
+    for (const auto backend : backends) {
+      ServerRequest req;
+      req.id = cat(core::to_string(backend), i);
+      req.instance = ServerRequest::Instance::kAigerFile;
+      req.payload = path;
+      req.backend = backend;
+      req.portfolio_size = 2;
+      req.use_cache = false;
+      ASSERT_TRUE(server.submit(std::move(req)));
+    }
+  }
+  server.drain();
+  server.stop();
+
+  for (int i = 0; i < kCount; ++i) {
+    for (const auto backend : backends) {
+      core::PipelineOptions po;
+      po.mode = core::PipelineMode::kBaseline;
+      po.backend = backend;
+      po.solver = so.solver;
+      po.limits = limits;
+      po.simplify_params = so.simplify_params;
+      po.portfolio_size = 2;
+      const auto expected = core::solve_instance(circuits[i], po);
+      const auto& got = collector.by_id(cat(core::to_string(backend), i));
+      SCOPED_TRACE(suite[i].name + " on " + core::to_string(backend));
+      ASSERT_TRUE(got.error.empty()) << got.error;
+      EXPECT_NE(expected.status, sat::Status::kUnknown);
+      EXPECT_EQ(got.status, expected.status);
+      if (backend == core::SolveBackend::kSingle) {
+        EXPECT_EQ(got.stats.conflicts, expected.solver_stats.conflicts);
+        EXPECT_EQ(got.stats.decisions, expected.solver_stats.decisions);
+        EXPECT_EQ(got.simplified_vars, expected.simplified_vars);
+      } else if (backend == core::SolveBackend::kCircuit) {
+        EXPECT_EQ(got.circuit_stats.gate_propagations,
+                  expected.circuit_stats.gate_propagations);
+      }
+    }
   }
 }
 
