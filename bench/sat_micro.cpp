@@ -21,9 +21,6 @@
 // --json): `--chrono=on|off --vivify=on|off --adaptive=on|off` toggle
 // chronological backtracking, clause vivification and adaptive glue export
 // on both presets, so before/after comparisons are one flag flip.
-// `--flat-watch=on|off` (default on) selects the propagation engine: the
-// flat watcher arena with binary-first BCP, or the nested watch-list
-// fallback — the A/B pair behind the flat-engine throughput claim.
 // `--simplify=on|off` (default off, so the --smoke BCP floor keeps
 // measuring raw search) runs the CNF preprocessor (cnf/simplify.h) before
 // every sequential solve. Independently of that flag, `--json` always
@@ -36,12 +33,6 @@
 // that flag, `--json` always appends a measured proof on/off comparison
 // ("proof" block) on the UNSAT families, recording wall time both ways
 // plus the proof's add/delete step counts.
-//
-// `--blocker-sort=on|off` (default on) toggles blocker-aware watcher
-// ordering in the flat engine's reduce-time compaction (survivors whose
-// blocker is currently satisfied are packed first, maximizing early
-// blocker-skip exits on the next descent). `--json` always appends a
-// measured on/off comparison ("blocker_sort" block) regardless of the flag.
 //
 // `--json` also appends a "circuit" block: the circuit-native backend
 // (sat/circuit_solver.h, PR 9) vs the Tseitin+CNF backend on the
@@ -86,18 +77,12 @@ struct Ablation {
   bool chrono = true;
   bool vivify = true;
   bool adaptive = true;
-  // Flat watcher arena + binary-first BCP (the default engine). Off selects
-  // the nested watch-list fallback so the A/B delta stays measurable.
-  bool flat = true;
   // CNF preprocessing before every sequential solve. Off by default so the
   // --smoke throughput floor keeps measuring raw search.
   bool simplify = false;
   // DRAT emission into a discarding sink on every sequential solve. Off by
   // default for the same reason.
   bool proof = false;
-  // Blocker-aware watcher ordering in the flat engine's reduce-time
-  // compaction (sat/watch.h compact(pred)).
-  bool blocker_sort = true;
   // 0 = keep the preset's default; sweepable for tuning runs.
   std::uint32_t chrono_threshold = 0;
   std::uint64_t vivify_interval = 0;
@@ -153,8 +138,6 @@ sat::SolverConfig preset(int index) {
                                    : sat::SolverConfig::cadical_like();
   c.chrono = g_ablation.chrono;
   c.vivify = g_ablation.vivify;
-  c.flat_watch = g_ablation.flat;
-  c.blocker_sorted_compact = g_ablation.blocker_sort;
   if (g_ablation.chrono_threshold != 0)
     c.chrono_threshold = g_ablation.chrono_threshold;
   if (g_ablation.vivify_interval != 0)
@@ -314,10 +297,10 @@ struct SmokeCase {
 int run_smoke() {
   // Raised 0.25 -> 0.30 Mprops/s in PR 5 after confirming the inprocessing
   // levers keep aggregate BCP throughput at ~1.0 Mprops/s on the reference
-  // container. Raised again to 0.40 with the flat watcher engine: the
-  // interleaved same-binary A/B (--flat-watch) measures ~1.05 vs ~0.99
-  // Mprops/s on this mix (and +15-20% on the adder/random3sat JSON
-  // families), so the floor tracks the new engine while keeping >2.5x
+  // container. Raised again to 0.40 with the flat watcher engine, whose
+  // same-binary A/B against the old nested watch lists measured ~1.05 vs
+  // ~0.99 Mprops/s on this mix (and +15-20% on the adder/random3sat JSON
+  // families), so the floor tracks that engine while keeping >2.5x
   // headroom for loaded CI runners.
   double min_props_per_sec = 400e3;
   if (const char* env = std::getenv("CSAT_SMOKE_MIN_PROPS_PER_SEC"))
@@ -495,14 +478,10 @@ int run_json(const char* path, int repeats) {
   out += g_ablation.vivify ? "true" : "false";
   out += ", \"adaptive\": ";
   out += g_ablation.adaptive ? "true" : "false";
-  out += ", \"flat_watch\": ";
-  out += g_ablation.flat ? "true" : "false";
   out += ", \"simplify\": ";
   out += g_ablation.simplify ? "true" : "false";
   out += ", \"proof\": ";
   out += g_ablation.proof ? "true" : "false";
-  out += ", \"blocker_sort\": ";
-  out += g_ablation.blocker_sort ? "true" : "false";
   out += ", \"mean_of\": " + std::to_string(repeats) +
          ", \"solver_seeds\": " + std::to_string(kSolverSeeds) + "},\n";
   out += "  \"results\": [\n";
@@ -605,7 +584,6 @@ int run_json(const char* path, int repeats) {
       for (auto& cfg : opt.configs) {
         cfg.chrono = g_ablation.chrono;
         cfg.vivify = g_ablation.vivify;
-        cfg.flat_watch = g_ablation.flat;
         if (g_ablation.chrono_threshold != 0)
           cfg.chrono_threshold = g_ablation.chrono_threshold;
       }
@@ -866,63 +844,6 @@ int run_json(const char* path, int repeats) {
                   agree ? "" : "  VERDICT MISMATCH");
     }
   }
-  // Measured blocker-sorted-compaction on/off comparison (PR 9 satellite),
-  // always emitted regardless of --blocker-sort: the same preset-0 solves
-  // with survivors packed blocker-live-first at reduce-time compaction vs
-  // plain order-preserving compaction. The lever only changes watch-list
-  // order, so verdicts must agree; wall time and relocation counts move.
-  out += "  ],\n  \"blocker_sort\": [\n";
-  {
-    struct AbFamily {
-      const char* name;
-      std::vector<cnf::Cnf> instances;
-    };
-    AbFamily afams[] = {{"adder_miter", {}}, {"random3sat", {}}};
-    for (int w : {16, 32, 48}) afams[0].instances.push_back(adder_miter_cnf(w));
-    for (int s = 0; s < 8; ++s)
-      afams[1].instances.push_back(random_3sat(170, 4.26, 1000 + s));
-    bool afirst = true;
-    for (AbFamily& fam : afams) {
-      double on_seconds = 0.0, off_seconds = 0.0;
-      std::uint64_t on_relocations = 0, off_relocations = 0;
-      bool agree = true;
-      for (int rep = 0; rep < repeats; ++rep) {
-        on_relocations = off_relocations = 0;
-        sat::SolverConfig on_cfg = preset(0);
-        on_cfg.blocker_sorted_compact = true;
-        sat::SolverConfig off_cfg = preset(0);
-        off_cfg.blocker_sorted_compact = false;
-        for (const cnf::Cnf& f : fam.instances) {
-          Stopwatch on_watch;
-          const auto on = sat::solve_cnf(f, on_cfg);
-          on_seconds += on_watch.seconds();
-          Stopwatch off_watch;
-          const auto off = sat::solve_cnf(f, off_cfg);
-          off_seconds += off_watch.seconds();
-          agree &= on.status == off.status;
-          on_relocations += on.stats.watcher_relocations;
-          off_relocations += off.stats.watcher_relocations;
-        }
-      }
-      char line[384];
-      std::snprintf(line, sizeof(line),
-                    "    %s{\"family\": \"%s\", \"on_ms\": %.3f, "
-                    "\"off_ms\": %.3f, \"on_relocations\": %llu, "
-                    "\"off_relocations\": %llu, \"verdicts_agree\": %s}",
-                    afirst ? "" : ",", fam.name, on_seconds / repeats * 1e3,
-                    off_seconds / repeats * 1e3,
-                    static_cast<unsigned long long>(on_relocations),
-                    static_cast<unsigned long long>(off_relocations),
-                    agree ? "true" : "false");
-      out += line;
-      out += '\n';
-      afirst = false;
-      std::printf("json blocker_sort %-12s on %8.1f ms  off %8.1f ms%s\n",
-                  fam.name, on_seconds / repeats * 1e3,
-                  off_seconds / repeats * 1e3,
-                  agree ? "" : "  VERDICT MISMATCH");
-    }
-  }
   out += "  ]\n}\n";
   std::FILE* f = std::fopen(path, "w");
   if (f == nullptr) {
@@ -1002,14 +923,10 @@ int main(int argc, char** argv) {
       bad = !parse_onoff(a.substr(9), g_ablation.vivify);
     } else if (a.rfind("--adaptive=", 0) == 0) {
       bad = !parse_onoff(a.substr(11), g_ablation.adaptive);
-    } else if (a.rfind("--flat-watch=", 0) == 0) {
-      bad = !parse_onoff(a.substr(13), g_ablation.flat);
     } else if (a.rfind("--simplify=", 0) == 0) {
       bad = !parse_onoff(a.substr(11), g_ablation.simplify);
     } else if (a.rfind("--proof=", 0) == 0) {
       bad = !parse_onoff(a.substr(8), g_ablation.proof);
-    } else if (a.rfind("--blocker-sort=", 0) == 0) {
-      bad = !parse_onoff(a.substr(15), g_ablation.blocker_sort);
     } else if (a.rfind("--chrono-threshold=", 0) == 0) {
       g_ablation.chrono_threshold =
           static_cast<std::uint32_t>(std::atoi(argv[i] + 19));

@@ -20,7 +20,7 @@
 /// clauses and the whole database is sequential memory, so clause visits
 /// and full-database scans (conflict analysis, reduction) are prefetchable
 /// linear reads. Binary clauses never enter the arena at all — the solver
-/// inlines them in its watch lists (the other literal *is* the watcher).
+/// keeps them in dense binary lists (the implied literal *is* the entry).
 ///
 /// Clause handles (ClauseArena::Clause) are raw-pointer views and are
 /// invalidated by alloc() and compact(); never hold one across either.
@@ -55,12 +55,12 @@ using cnf::Lit;
 using ClauseRef = std::uint32_t;
 /// "No clause": unit/decision reasons, absent conflicts.
 inline constexpr ClauseRef kClauseRefUndef = 0xFFFFFFFFu;
-/// Tag for binary clauses, which live inline in watch lists and reason
-/// slots (the other literal is stored beside the tag) and have no arena
-/// storage.
+/// Tag for binary clauses in reason and conflict slots (the other literal
+/// is stored beside the tag): binaries live in the solver's dense binary
+/// lists and have no arena storage.
 inline constexpr ClauseRef kClauseRefBinary = 0xFFFFFFFEu;
 
-/// Owned by exactly one Solver and confined to its thread: no internal
+/// Owned by exactly one solver and confined to its thread: no internal
 /// locking anywhere. All storage is owned by the arena; Clause handles and
 /// lits() spans are non-owning views into it.
 class ClauseArena {

@@ -16,12 +16,18 @@
 ///
 /// Inverters are edges (fanin complement bits), so "INV propagation" is
 /// free: a literal over a node id carries the complement in its sign bit,
-/// bit-identical between aig::Lit and cnf::Lit. Learnt constraints are
-/// ordinary clauses over gate literals and live in the same flat
-/// ClauseArena the CNF solver uses, with the same two-watched-literal
-/// scheme (FlatLists) for long learnt clauses and dense lists for binary
-/// ones. The CSAT goal "some PO is 1" is the one irredundant clause in the
-/// database (unit/binary/long depending on PO count), mirroring
+/// bit-identical between aig::Lit and cnf::Lit.
+///
+/// The solver is the gate propagator and decision policy on top of the CDCL
+/// kernel it shares with the CNF solver (sat/cdcl_kernel.h). The kernel
+/// supplies the clause store, first-UIP analysis with recursive
+/// minimization (gate reasons are materialized on demand through the
+/// kernel's implicit-clause hooks), LBD, bumping, reduce_db/GC, the Limits
+/// checkpoints and the Luby schedule; this class adds gate evaluation, the
+/// justification frontier, the goal clause and finish_sat. Learnt
+/// constraints are ordinary clauses over gate literals in the kernel's
+/// clause store. The CSAT goal "some PO is 1" is the one irredundant clause
+/// in the database (unit/binary/long depending on PO count), mirroring
 /// cnf::tseitin_encode's goal semantics exactly — including the
 /// trivially-SAT (constant-true or tautological PO set) and trivially-UNSAT
 /// (no non-constant PO) short circuits — so the two backends always agree.
@@ -62,14 +68,14 @@
 #include <vector>
 
 #include "aig/aig.h"
-#include "sat/arena.h"
+#include "sat/cdcl_kernel.h"
 #include "sat/solver.h"
-#include "sat/watch.h"
 
 namespace csat::sat {
 
 /// Tunable heuristics of the circuit-native CDCL loop. Deliberately a
-/// subset of SolverConfig: the circuit arm keeps Luby restarts and skips
+/// subset of SolverConfig (the fields the shared kernel reads, plus phase
+/// initialization): the circuit arm keeps Luby restarts and skips
 /// chrono/vivification (gate clauses are implicit — there is nothing to
 /// vivify and the frontier bookkeeping assumes in-order trails).
 struct CircuitSolverConfig {
@@ -128,18 +134,21 @@ struct CircuitStats {
   std::uint64_t reductions = 0;
   std::uint64_t arena_gcs = 0;
   std::uint64_t max_decision_level = 0;
+  /// Literals dropped from learnt clauses by recursive minimization.
+  std::uint64_t minimized_lits = 0;
   /// Gates pushed into the justification frontier (re-entries included).
   std::uint64_t frontier_inserts = 0;
   /// Largest frontier candidate-heap size observed at a decision — an upper
   /// bound on the live frontier (stale entries are dropped lazily at pop).
   std::uint64_t max_frontier = 0;
   /// Memory-budget twins of sat::Stats (Limits::soft/hard_memory_bytes are
-  /// enforced at the same checkpoint cadence as the CNF engine's).
+  /// enforced by the kernel checkpoint both solvers share).
   std::uint64_t memory_reductions = 0;
   std::uint64_t memout_stops = 0;
 };
 
-class CircuitSolver {
+class CircuitSolver
+    : private CdclKernel<CircuitSolver, CircuitSolverConfig, CircuitStats> {
  public:
   explicit CircuitSolver(CircuitSolverConfig config = {});
 
@@ -191,54 +200,25 @@ class CircuitSolver {
   ///  * the frontier flag and heap agree;
   ///  * every gate/binary/clause reason re-materializes to a clause whose
   ///    first literal is the implied one and whose others are false;
-  ///  * learnt arena clauses are watched exactly once on each of their
-  ///    first two literals and binary lists are mirror-symmetric.
-  /// Returns false with a stderr note on the first violation.
+  ///  * the kernel's watch invariants (Solver::check_watches()) hold for
+  ///    the learnt clauses and the goal clause.
+  /// Returns false, with a stderr note per violation, if any check fails.
   [[nodiscard]] bool check_justification();
 
  private:
-  enum : std::uint8_t { kFalse = 0, kTrue = 1, kUnknown = 2 };
+  using Kernel = CdclKernel<CircuitSolver, CircuitSolverConfig, CircuitStats>;
+  friend Kernel;
 
-  /// Tagged ClauseRefs for the implicit gate clauses (below kClauseRefBinary
-  /// so arena refs, which are far smaller, stay unambiguous). The gate node
-  /// id rides in Reason::aux / Conflict::gate; the literal span is
-  /// re-materialized on demand by reason_lits()/conflict_lits().
+  /// Reason and conflict tags for the implicit gate clauses, inside the
+  /// kernel's implicit-tag range. A gate reason carries the gate node id in
+  /// Reason::aux, a gate conflict the gate's positive literal in
+  /// Conflict::a; the literal span is re-materialized on demand by
+  /// implicit_reason()/implicit_conflict().
+  static constexpr bool kImplicitClauses = true;
   static constexpr ClauseRef kGateC1 = 0xFFFFFFFDu;  ///< (!g, a)
   static constexpr ClauseRef kGateC2 = 0xFFFFFFFCu;  ///< (!g, b)
   static constexpr ClauseRef kGateC3 = 0xFFFFFFFBu;  ///< (g, !a, !b)
-
-  struct Reason {
-    ClauseRef cref = kClauseRefUndef;
-    /// Binary: the other (false) literal's Lit.x. Gate: the gate node id.
-    std::uint32_t aux = 0;
-
-    static Reason none() { return {}; }
-    static Reason clause(ClauseRef c) { return {c, 0}; }
-    static Reason binary(Lit other) { return {kClauseRefBinary, other.x}; }
-    static Reason gate(ClauseRef tag, std::uint32_t node) { return {tag, node}; }
-    [[nodiscard]] bool is_none() const { return cref == kClauseRefUndef; }
-    [[nodiscard]] bool is_binary() const { return cref == kClauseRefBinary; }
-    [[nodiscard]] bool is_gate() const {
-      return cref >= kGateC3 && cref <= kGateC1;
-    }
-    [[nodiscard]] bool is_clause() const { return cref < kGateC3; }
-  };
-
-  struct Conflict {
-    ClauseRef cref = kClauseRefUndef;
-    Lit a{};  ///< binary conflict literals
-    Lit b{};
-    std::uint32_t gate = 0;  ///< falsified gate for kGateC1/C2/C3
-
-    [[nodiscard]] bool is_none() const { return cref == kClauseRefUndef; }
-  };
-
-  /// Long-clause watcher (learnt clauses + the goal clause): same layout
-  /// and blocker semantics as Solver's flat engine.
-  struct Watcher {
-    ClauseRef cref;
-    Lit blocker;
-  };
+  static_assert(kGateC3 >= kImplicitTagBase);
 
   /// Activity-snapshot max-heap entry of the frontier candidates. Priority
   /// is the gate's activity at push time — stale priorities and stale
@@ -249,14 +229,8 @@ class CircuitSolver {
     std::uint32_t gate = 0;
   };
 
-  [[nodiscard]] std::uint8_t value(Lit l) const { return value_[l.x]; }
-  [[nodiscard]] std::uint8_t var_value(std::uint32_t n) const {
-    return value_[n << 1];
-  }
-  [[nodiscard]] std::uint32_t decision_level() const {
-    return static_cast<std::uint32_t>(trail_lim_.size());
-  }
-  void enqueue(Lit l, Reason reason);
+  /// Binary clauses to fixpoint, then one gate literal, then one long
+  /// learnt-clause literal, and back.
   Conflict propagate();
   /// Re-examines gate \p n against the current values of g/a/b, enqueuing
   /// every forced literal; returns the falsified implicit clause if any.
@@ -270,26 +244,20 @@ class CircuitSolver {
   [[nodiscard]] bool goal_satisfied();
   Lit pick_decision();
 
-  void analyze(const Conflict& confl, std::vector<Lit>& learnt,
-               std::uint32_t& bt_level, std::uint32_t& lbd);
-  /// Materializes the reason clause of assigned literal \p p into
-  /// reason_scratch_, \p p first, and returns a view of it.
-  std::span<const Lit> reason_lits(Lit p, const Reason& r);
-  std::span<const Lit> conflict_lits(const Conflict& confl);
-  [[nodiscard]] std::uint32_t compute_lbd(std::span<const Lit> lits);
-  void bump_var(std::uint32_t v);
-
-  void attach_binary(Lit a, Lit b);
-  [[nodiscard]] bool reason_locked(ClauseRef cref);
-  void reduce_db();
-  void collect_garbage();
+  /// Kernel hooks: the gate clause behind reason \p r of true literal \p p
+  /// (p first), and the gate clause falsified by \p confl, materialized
+  /// into gate_scratch_.
+  std::span<const Lit> implicit_reason(Lit p, const Reason& r);
+  std::span<const Lit> implicit_conflict(const Conflict& confl);
+  /// Kernel hook: frontier entries carry activity snapshots; compress them
+  /// by the same factor so relative order against fresh pushes survives.
+  void on_activity_rescale(double factor) {
+    for (FrontierEntry& e : frontier_) e.act *= factor;
+  }
 
   Status finish_sat();
   Status search(const Limits& limits);
 
-  CircuitSolverConfig config_;
-  CircuitStats stats_;
-  bool ok_ = true;          ///< false: root-level UNSAT established
   bool forced_sat_ = false;  ///< constant-true PO or tautological PO pair
   bool const_true_po_ = false;  ///< some PO is the constant TRUE literal
 
@@ -304,51 +272,18 @@ class CircuitSolver {
   std::vector<std::uint32_t> fanout_;
   std::vector<std::uint32_t> pi_nodes_;  ///< pis() order
   std::vector<Lit> goal_lits_;           ///< deduped non-constant PO literals
-  ClauseRef goal_cref_ = kClauseRefUndef;  ///< arena goal clause (>= 3 lits)
   std::size_t goal_sat_cache_ = 0;  ///< last goal literal seen true
 
-  // --- clause database ---
-  ClauseArena arena_;
-  std::vector<ClauseRef> learnt_refs_;
-  FlatLists<Watcher> watch_;   ///< long clauses, indexed by falsified Lit.x
-  FlatLists<Lit> bin_watch_;   ///< binary clauses: implied literal per entry
-
-  // --- assignment ---
-  std::vector<std::uint8_t> value_;  ///< per literal (Lit.x)
-  std::vector<std::uint8_t> phase_;  ///< saved polarity per node
-  std::vector<std::uint32_t> level_;
-  std::vector<Reason> reason_;
-  std::vector<Lit> trail_;
-  std::vector<std::uint32_t> trail_lim_;
-  /// Three heads over one trail: binaries drain first (cheapest), then the
-  /// gate rules, then long learnt clauses — the circuit twin of the flat
-  /// engine's binary-first ordering.
-  std::size_t bin_qhead_ = 0;
+  /// The gate-rule head, between the kernel's binary head (ahead of it)
+  /// and long-clause head (behind it): binaries drain first (cheapest),
+  /// then the gate rules, then long learnt clauses.
   std::size_t gate_qhead_ = 0;
-  std::size_t qhead_ = 0;
 
-  // --- heuristics ---
-  std::vector<double> activity_;
-  double var_inc_ = 1.0;
-  double clause_inc_ = 1.0;
   std::vector<FrontierEntry> frontier_;    ///< binary max-heap
   std::vector<std::uint8_t> in_frontier_;  ///< exactly the heap membership
 
-  // --- analyze scratch ---
-  std::vector<std::uint8_t> seen_;
-  std::vector<Lit> analyze_clear_;
-  std::vector<Lit> reason_scratch_;
-  std::vector<Lit> conflict_scratch_;
+  std::vector<Lit> gate_scratch_;
   std::vector<Lit> learnt_;
-  std::vector<std::uint32_t> lbd_stamp_;
-  std::uint32_t lbd_gen_ = 0;
-
-  // --- restart / reduction state ---
-  std::uint64_t conflicts_at_restart_ = 0;
-  std::uint64_t luby_index_ = 0;
-  std::uint64_t luby_budget_ = 0;
-  std::uint64_t reduce_budget_ = 0;
-  std::uint64_t reduce_count_ = 0;
 
   std::vector<bool> witness_;
   std::vector<std::uint8_t> node_values_;

@@ -103,7 +103,7 @@ class Checker {
   void ensure_var_capacity(std::uint32_t vars) {
     if (static_cast<std::size_t>(vars) * 2 > value_.size()) {
       value_.resize(static_cast<std::size_t>(vars) * 2, kUnknown);
-      watches_.resize(static_cast<std::size_t>(vars) * 2);
+      watch_lists_.resize(static_cast<std::size_t>(vars) * 2);
       occs_.resize(static_cast<std::size_t>(vars) * 2);
     }
   }
@@ -131,7 +131,7 @@ class Checker {
   bool propagate() {
     while (qhead_ < trail_.size()) {
       const Lit fl = !trail_[qhead_++];  // just became false
-      std::vector<std::uint32_t>& ws = watches_[fl.x];
+      std::vector<std::uint32_t>& ws = watch_lists_[fl.x];
       std::size_t keep = 0;
       for (std::size_t i = 0; i < ws.size(); ++i) {
         const std::uint32_t id = ws[i];
@@ -148,7 +148,7 @@ class Checker {
           if (k == c.watch[0] || k == c.watch[1]) continue;
           if (value(c.lits[k]) != kFalse) {
             c.watch[wi] = k;
-            watches_[c.lits[k].x].push_back(id);
+            watch_lists_[c.lits[k].x].push_back(id);
             moved = true;
             break;
           }
@@ -257,8 +257,8 @@ class Checker {
     }
     if (non_false == 1 && c.watch[0] == c.watch[1])
       c.watch[1] = c.watch[0] == 0 ? 1 : 0;  // any second (false) index
-    watches_[c.lits[c.watch[0]].x].push_back(id);
-    watches_[c.lits[c.watch[1]].x].push_back(id);
+    watch_lists_[c.lits[c.watch[0]].x].push_back(id);
+    watch_lists_[c.lits[c.watch[1]].x].push_back(id);
     if (non_false == 0) {
       root_conflict_ = true;
     } else if (non_false == 1 && value(c.lits[c.watch[0]]) == kUnknown) {
@@ -269,7 +269,7 @@ class Checker {
 
   std::vector<CClause> clauses_;
   std::unordered_map<std::uint64_t, std::vector<std::uint32_t>> index_;
-  std::vector<std::vector<std::uint32_t>> watches_;  // by Lit.x
+  std::vector<std::vector<std::uint32_t>> watch_lists_;  // by Lit.x
   std::vector<std::vector<std::uint32_t>> occs_;     // by Lit.x
   std::vector<std::uint8_t> value_;                  // by Lit.x
   std::vector<Lit> trail_;

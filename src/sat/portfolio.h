@@ -167,7 +167,7 @@ struct PortfolioResult {
 // stop flag and the winner election.
 
 struct CircuitRaceOptions {
-  /// CNF arm: tseitin_encode(g) solved by the flat-watch CDCL Solver.
+  /// CNF arm: tseitin_encode(g) solved by the CDCL Solver.
   SolverConfig solver;
   /// Circuit arm: CircuitSolver running directly on the AIG. Callers that
   /// want the arms to share tuning derive this with

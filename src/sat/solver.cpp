@@ -5,15 +5,12 @@
 #include <cstdlib>
 
 #include "common/check.h"
-#include "common/luby.h"
 #include "common/rng.h"
-#include "common/stopwatch.h"
 #include "sat/proof.h"
 
 namespace csat::sat {
 
 namespace {
-constexpr Lit kLitUndef = Lit(std::numeric_limits<std::uint32_t>::max());
 
 /// CSAT_FORCE_INPROCESSING=1 forces chrono + vivification on (with an
 /// aggressive vivify cadence) for every solver regardless of its config —
@@ -37,7 +34,8 @@ bool force_inprocessing() {
 }
 }  // namespace
 
-Solver::Solver(SolverConfig config) : config_(config), rng_state_(config.seed | 1) {
+Solver::Solver(SolverConfig config)
+    : Kernel(config), rng_state_(config.seed | 1) {
   if (force_inprocessing()) {
     config_.chrono = true;
     config_.vivify = true;
@@ -49,68 +47,23 @@ Solver::Solver(SolverConfig config) : config_(config), rng_state_(config.seed | 
 
 std::uint32_t Solver::new_var() {
   const std::uint32_t v = num_vars();
-  value_.push_back(kUnknown);  // positive literal
-  value_.push_back(kUnknown);  // negative literal
-  phase_.push_back(config_.default_phase ? kTrue : kFalse);
-  level_.push_back(0);
-  reason_.push_back(Reason::none());
-  activity_.push_back(0.0);
+  add_var(config_.default_phase ? kTrue : kFalse);
   heap_pos_.push_back(-1);
-  seen_.push_back(0);
-  // After reset() the watch storage keeps its high-water size (with every
-  // list emptied) so re-adding variables reuses the grown buffers. Only the
-  // active engine's containers are touched — the other stays empty.
-  if (config_.flat_watch) {
-    watch_flat_.ensure_lists(2 * (static_cast<std::size_t>(v) + 1));
-    bin_watch_.ensure_lists(2 * (static_cast<std::size_t>(v) + 1));
-  } else if (watches_.size() < 2 * (static_cast<std::size_t>(v) + 1)) {
-    watches_.emplace_back();
-    watches_.emplace_back();
-  }
   heap_insert(v);
   return v;
 }
 
 void Solver::reset() {
-  stats_ = Stats{};
-  ok_ = true;
-  arena_.clear();
-  learnt_refs_.clear();
-  // Keep the outer watch vector at its high-water size: entries past the
-  // next formula's variable count stay empty and are skipped by the
-  // full-database sweeps, while new_var() reuses the inner lists' buffers.
-  for (auto& ws : watches_) ws.clear();
-  watch_flat_.clear();
-  bin_watch_.clear();
-  value_.clear();
-  phase_.clear();
-  level_.clear();
-  reason_.clear();
-  trail_.clear();
-  trail_lim_.clear();
-  qhead_ = 0;
-  bin_qhead_ = 0;
-  activity_.clear();
-  var_inc_ = 1.0;
-  clause_inc_ = 1.0;
+  reset_kernel();
   heap_.clear();
   heap_pos_.clear();
-  seen_.clear();
-  analyze_stack_.clear();
-  analyze_clear_.clear();
-  conflicts_at_restart_ = 0;
-  luby_index_ = 0;
-  luby_budget_ = 0;
   ema_fast_ = 0.0;
   ema_slow_ = 0.0;
-  reduce_budget_ = 0;
-  reduce_count_ = 0;
   vivify_conflicts_at_ = 0;
   vivify_props_at_ = 0;
   vivify_lits_.clear();
   vivify_kept_.clear();
   vivify_active_ = false;
-  chrono_dirty_ = false;
   exchange_ = nullptr;
   exchange_id_ = 0;
   sharing_ = SharingLimits{};
@@ -119,7 +72,6 @@ void Solver::reset() {
   adapt_lost_ = 0;
   adapt_seen_ = 0;
   shared_hashes_.clear();
-  proof_ = nullptr;
   proof_empty_emitted_ = false;
   rng_state_ = config_.seed | 1;
   model_.clear();
@@ -140,12 +92,6 @@ void Solver::set_proof(ProofTracer* tracer) {
   proof_empty_emitted_ = false;
 }
 
-void Solver::emit_proof_add(std::span<const Lit> lits) { proof_->add(lits); }
-
-void Solver::emit_proof_delete(std::span<const Lit> lits) {
-  proof_->remove(lits);
-}
-
 Status Solver::proved_unsat() {
   if (proof_ != nullptr && !proof_empty_emitted_) {
     proof_->add({});
@@ -163,8 +109,7 @@ void Solver::add_formula(const Cnf& formula) {
 }
 
 void Solver::reserve_watches(const Cnf& formula) {
-  if (!config_.flat_watch) return;
-  if (watch_flat_.total_slots() != 0 || bin_watch_.total_slots() != 0) return;
+  if (watch_.total_slots() != 0 || bin_watch_.total_slots() != 0) return;
   const std::size_t nlits = 2 * static_cast<std::size_t>(num_vars());
   std::vector<std::uint32_t> longs(nlits, 0);
   std::vector<std::uint32_t> bins(nlits, 0);
@@ -190,7 +135,7 @@ void Solver::reserve_watches(const Cnf& formula) {
     ++table[(!lo).x];
     ++table[(!hi).x];
   }
-  watch_flat_.reserve_lists(longs);
+  watch_.reserve_lists(longs);
   bin_watch_.reserve_lists(bins);
 }
 
@@ -250,249 +195,13 @@ bool Solver::add_clause(std::span<const Lit> lits) {
   return true;
 }
 
-Solver::Reason Solver::attach_clause(std::span<const Lit> lits, bool learnt,
-                                     std::uint32_t lbd) {
-  CSAT_DCHECK(lits.size() >= 2);
-  if (learnt) ++stats_.learned;
-  if (lits.size() == 2) {
-    // Binary clause: no arena storage, so the clause can never be
-    // garbage-collected (matching the old rule that clauses of <= 2
-    // literals are never deleted).
-    attach_binary(lits[0], lits[1]);
-    return Reason::binary(lits[1]);
-  }
-  const ClauseRef cref = arena_.alloc(lits, learnt, lbd);
-  if (learnt) {
-    ClauseArena::Clause c = arena_[cref];
-    c.set_activity(static_cast<float>(clause_inc_));
-    // Glue clauses are promoted straight to the protected tier: reduce_db()
-    // never deletes them.
-    if (lbd <= config_.glue_keep) c.set_protect();
-    learnt_refs_.push_back(cref);
-  }
-  watch_push(!lits[0], {cref, lits[1]});
-  watch_push(!lits[1], {cref, lits[0]});
-  return Reason::clause(cref);
-}
-
-void Solver::watch_push(Lit key, Watcher w) {
-  if (config_.flat_watch) {
-    watch_flat_.push(key.x, w);
-  } else {
-    watches_[key.x].push_back(w);
-  }
-}
-
-void Solver::watch_remove(Lit key, ClauseRef cref) {
-  // Order-preserving removal in both engines: watch-list order is part of
-  // solver determinism (same formula + config + seed => same search).
-  if (config_.flat_watch) {
-    const auto ws = watch_flat_[key.x];
-    for (std::size_t i = 0; i < ws.size(); ++i) {
-      if (ws[i].cref == cref) {
-        for (std::size_t m = i + 1; m < ws.size(); ++m) ws[m - 1] = ws[m];
-        watch_flat_.set_size(key.x, static_cast<std::uint32_t>(ws.size() - 1));
-        return;
-      }
-    }
-  } else {
-    auto& ws = watches_[key.x];
-    for (std::size_t i = 0; i < ws.size(); ++i) {
-      if (ws[i].cref == cref) {
-        ws.erase(ws.begin() + static_cast<std::ptrdiff_t>(i));
-        return;
-      }
-    }
-  }
-  CSAT_DCHECK(false);  // the clause was not watched on !key
-}
-
-void Solver::attach_binary(Lit a, Lit b) {
-  if (config_.flat_watch) {
-    bin_watch_.push((!a).x, b);
-    bin_watch_.push((!b).x, a);
-  } else {
-    watches_[(!a).x].push_back({kClauseRefBinary, b});
-    watches_[(!b).x].push_back({kClauseRefBinary, a});
-  }
-}
-
-void Solver::enqueue_at(Lit l, Reason reason, std::uint32_t lev) {
-  CSAT_DCHECK(value(l) == kUnknown);
-  CSAT_DCHECK(lev <= decision_level());
-  value_[l.x] = kTrue;
-  value_[(!l).x] = kFalse;
-  level_[l.var()] = lev;
-  reason_[l.var()] = reason;
-  if (lev < decision_level()) chrono_dirty_ = true;
-  trail_.push_back(l);
-}
-
 Solver::Conflict Solver::propagate() {
-  return config_.flat_watch ? propagate_flat() : propagate_nested();
-}
-
-Solver::Conflict Solver::propagate_flat() {
-  Conflict confl;
   for (;;) {
-    // Binary clauses first, to fixpoint: each list entry *is* the implied
-    // literal, so the whole pass runs on dense Lit slabs with no arena
-    // access — and any binary conflict surfaces before a single long
-    // clause is inspected.
-    while (bin_qhead_ < trail_.size()) {
-      const Lit p = trail_[bin_qhead_++];
-      // Counted at the *leading* queue head, where this literal's
-      // propagation starts — the same "dequeued for processing" semantics
-      // the nested engine (and every budget derived from the counter) uses.
-      ++stats_.propagations;
-      const FlatLists<Lit>::Head bh = bin_watch_.head(p.x);
-      const Lit* bl = bin_watch_.data() + bh.offset;
-      for (std::uint32_t k = 0; k < bh.size; ++k) {
-        const Lit other = bl[k];
-        const std::uint8_t v = value(other);
-        if (v == kTrue) continue;
-        if (v == kFalse) {
-          bin_qhead_ = trail_.size();
-          qhead_ = trail_.size();
-          return {kClauseRefBinary, other, !p};
-        }
-        ++stats_.binary_props;
-        enqueue(other, Reason::binary(!p));
-      }
-    }
-    if (qhead_ >= trail_.size()) break;
-
-    const Lit p = trail_[qhead_++];  // p is now true (counted at bin_qhead_)
-    // The next literal's watcher slab is the guaranteed next read: get its
-    // first line in flight while this literal is processed.
-    if (qhead_ < trail_.size())
-      CSAT_PREFETCH(watch_flat_.data() + watch_flat_.head(trail_[qhead_].x).offset);
-    const Lit not_p = !p;
-    // Cache offset/size and re-derive the base pointer after any push:
-    // migrating a watcher to another list can reallocate the arena buffer,
-    // but never moves *this* list's slab (the new watch literal is distinct
-    // from !p, which sits in watch position 1 by then).
-    const std::uint32_t off = watch_flat_.head(p.x).offset;
-    const std::uint32_t n = watch_flat_.head(p.x).size;
-    Watcher* ws = watch_flat_.data() + off;
-    std::uint32_t keep = 0;
-    std::uint32_t i = 0;
-    for (; i < n; ++i) {
-      const Watcher w = ws[i];
-      const std::uint8_t bval = value(w.blocker);
-      if (bval == kTrue) {
-        ws[keep++] = w;
-        continue;
-      }
-      // Deliberately no prefetch of the next watcher's clause header here:
-      // most visits end at the blocker test above without touching clause
-      // memory, and prefetching every header defeats that (measured -10-20%
-      // on the adder/pigeonhole families).
-      ClauseArena::Clause c = arena_[w.cref];
-      // Normalize so the false literal (~p) sits at position 1.
-      if (c[0] == not_p) std::swap(c[0], c[1]);
-      CSAT_DCHECK(c[1] == not_p);
-      const Lit first = c[0];
-      if (first != w.blocker && value(first) == kTrue) {
-        ws[keep++] = {w.cref, first};
-        continue;
-      }
-      // Search for a replacement watch.
-      bool moved = false;
-      const std::uint32_t size = c.size();
-      for (std::uint32_t k = 2; k < size; ++k) {
-        if (value(c[k]) != kFalse) {
-          std::swap(c[1], c[k]);
-          watch_flat_.push((!c[1]).x, {w.cref, first});
-          ws = watch_flat_.data() + off;  // push may reallocate the buffer
-          moved = true;
-          break;
-        }
-      }
-      if (moved) continue;  // watcher migrated; drop from this list
-      // Clause is unit or conflicting.
-      ws[keep++] = {w.cref, first};
-      if (value(first) == kFalse) {
-        confl.cref = w.cref;
-        qhead_ = trail_.size();
-        bin_qhead_ = trail_.size();
-        // Preserve the remaining watchers before aborting the scan.
-        for (++i; i < n; ++i) ws[keep++] = ws[i];
-        break;
-      }
-      enqueue(first, Reason::clause(w.cref));
-    }
-    watch_flat_.set_size(p.x, keep);
-    if (!confl.is_none()) break;
+    Conflict confl = drain_binaries();
+    if (!confl.is_none() || qhead_ >= trail_.size()) return confl;
+    confl = propagate_long();
+    if (!confl.is_none()) return confl;
   }
-  return confl;
-}
-
-Solver::Conflict Solver::propagate_nested() {
-  Conflict confl;
-  while (qhead_ < trail_.size()) {
-    const Lit p = trail_[qhead_++];  // p is now true
-    ++stats_.propagations;
-    auto& ws = watches_[p.x];
-    std::size_t keep = 0;
-    std::size_t i = 0;
-    for (; i < ws.size(); ++i) {
-      const Watcher w = ws[i];
-      const std::uint8_t bval = value(w.blocker);
-      if (bval == kTrue) {
-        ws[keep++] = w;
-        continue;
-      }
-      if (w.cref == kClauseRefBinary) {
-        // Inline binary clause (w.blocker OR !p): unit or conflicting,
-        // resolved without touching the arena.
-        ws[keep++] = w;
-        if (bval == kFalse) {
-          confl = {kClauseRefBinary, w.blocker, !p};
-          qhead_ = trail_.size();
-          for (++i; i < ws.size(); ++i) ws[keep++] = ws[i];
-          break;
-        }
-        enqueue(w.blocker, Reason::binary(!p));
-        continue;
-      }
-      ClauseArena::Clause c = arena_[w.cref];
-      // Normalize so the false literal (~p) sits at position 1.
-      const Lit not_p = !p;
-      if (c[0] == not_p) std::swap(c[0], c[1]);
-      CSAT_DCHECK(c[1] == not_p);
-      const Lit first = c[0];
-      if (first != w.blocker && value(first) == kTrue) {
-        ws[keep++] = {w.cref, first};
-        continue;
-      }
-      // Search for a replacement watch.
-      bool moved = false;
-      const std::uint32_t size = c.size();
-      for (std::uint32_t k = 2; k < size; ++k) {
-        if (value(c[k]) != kFalse) {
-          std::swap(c[1], c[k]);
-          watches_[(!c[1]).x].push_back({w.cref, first});
-          moved = true;
-          break;
-        }
-      }
-      if (moved) continue;  // watcher migrated; drop from this list
-      // Clause is unit or conflicting.
-      ws[keep++] = {w.cref, first};
-      if (value(first) == kFalse) {
-        confl.cref = w.cref;
-        qhead_ = trail_.size();
-        // Preserve the remaining watchers before aborting the scan.
-        for (++i; i < ws.size(); ++i) ws[keep++] = ws[i];
-        break;
-      }
-      enqueue(first, Reason::clause(w.cref));
-    }
-    ws.resize(keep);
-    if (!confl.is_none()) break;
-  }
-  return confl;
 }
 
 void Solver::backtrack(std::uint32_t target) {
@@ -524,164 +233,6 @@ void Solver::backtrack(std::uint32_t target) {
   // in order again and the conflict-level scan can stand down until the
   // next out-of-order enqueue.
   if (target == 0) chrono_dirty_ = false;
-}
-
-std::uint32_t Solver::compute_lbd(std::span<const Lit> lits) {
-  // Count distinct decision levels using a stamped set keyed by level.
-  static thread_local std::vector<std::uint64_t> stamp;
-  static thread_local std::uint64_t stamp_gen = 0;
-  if (stamp.size() <= decision_level() + 1) stamp.resize(decision_level() + 2, 0);
-  ++stamp_gen;
-  std::uint32_t lbd = 0;
-  for (Lit l : lits) {
-    const std::uint32_t lev = level_[l.var()];
-    if (lev > 0 && stamp[lev] != stamp_gen) {
-      stamp[lev] = stamp_gen;
-      ++lbd;
-    }
-  }
-  return lbd;
-}
-
-void Solver::bump_var(std::uint32_t v) {
-  activity_[v] += var_inc_;
-  if (activity_[v] > 1e100) {
-    for (auto& a : activity_) a *= 1e-100;
-    var_inc_ *= 1e-100;
-  }
-  if (heap_pos_[v] >= 0) heap_up(static_cast<std::uint32_t>(heap_pos_[v]));
-}
-
-void Solver::bump_clause(ClauseArena::Clause c) {
-  c.set_activity(c.activity() + static_cast<float>(clause_inc_));
-  if (c.activity() > 1e20f) {
-    for (ClauseRef cr : learnt_refs_) {
-      ClauseArena::Clause lc = arena_[cr];
-      if (!lc.garbage()) lc.set_activity(lc.activity() * 1e-20f);
-    }
-    clause_inc_ *= 1e-20;
-  }
-}
-
-void Solver::analyze(const Conflict& confl, std::vector<Lit>& learnt,
-                     std::uint32_t& bt_level, std::uint32_t& lbd) {
-  learnt.clear();
-  learnt.push_back(kLitUndef);  // slot for the asserting literal
-  std::uint32_t counter = 0;
-  Lit p = kLitUndef;
-  std::size_t index = trail_.size();
-  // The clause under resolution: an arena reference, or — for inline
-  // binaries — its two literals carried by value in bin[].
-  ClauseRef cr = confl.cref;
-  Lit bin[2] = {confl.a, confl.b};
-
-  do {
-    std::span<const Lit> clits;
-    if (cr == kClauseRefBinary) {
-      clits = std::span<const Lit>(bin, 2);
-    } else {
-      CSAT_DCHECK(cr != kClauseRefUndef);
-      ClauseArena::Clause c = arena_[cr];
-      if (c.learnt()) bump_clause(c);
-      clits = c.lits();
-    }
-    const std::size_t start = (p == kLitUndef) ? 0 : 1;
-    for (std::size_t j = start; j < clits.size(); ++j) {
-      const Lit q = clits[j];
-      const std::uint32_t v = q.var();
-      if (seen_[v] || level_[v] == 0) continue;
-      seen_[v] = 1;
-      bump_var(v);
-      if (level_[v] >= decision_level())
-        ++counter;
-      else
-        learnt.push_back(q);
-    }
-    // Walk the trail back to the next marked literal of the current level.
-    // The level check matters under chrono: literals marked at *lower*
-    // levels (future learnt-clause literals) can sit above current-level
-    // ones in the trail when assignments are out of order, and must be
-    // stepped over, not resolved.
-    for (;;) {
-      const std::uint32_t v = trail_[--index].var();
-      if (seen_[v] && level_[v] >= decision_level()) break;
-    }
-    p = trail_[index];
-    const Reason r = reason_[p.var()];
-    cr = r.cref;
-    bin[0] = p;  // reason clause of p is (p OR r.other); start=1 skips p
-    bin[1] = r.other;
-    seen_[p.var()] = 0;
-    --counter;
-  } while (counter > 0);
-  learnt[0] = !p;
-
-  // Conflict-clause minimization (recursive, abstraction-guarded).
-  analyze_clear_.assign(learnt.begin() + 1, learnt.end());
-  std::uint32_t abstract_levels = 0;
-  for (std::size_t i = 1; i < learnt.size(); ++i)
-    abstract_levels |= 1u << (level_[learnt[i].var()] & 31);
-  std::size_t out = 1;
-  for (std::size_t i = 1; i < learnt.size(); ++i) {
-    const Lit l = learnt[i];
-    if (reason_[l.var()].is_none() || !lit_redundant(l, abstract_levels))
-      learnt[out++] = l;
-    else
-      ++stats_.minimized_lits;
-  }
-  learnt.resize(out);
-  for (Lit l : analyze_clear_) seen_[l.var()] = 0;
-  seen_[learnt[0].var()] = 0;
-
-  // Determine backtrack level and place the second watch.
-  if (learnt.size() == 1) {
-    bt_level = 0;
-  } else {
-    std::size_t max_i = 1;
-    for (std::size_t i = 2; i < learnt.size(); ++i)
-      if (level_[learnt[i].var()] > level_[learnt[max_i].var()]) max_i = i;
-    std::swap(learnt[1], learnt[max_i]);
-    bt_level = level_[learnt[1].var()];
-  }
-  lbd = compute_lbd(learnt);
-}
-
-bool Solver::lit_redundant(Lit lit, std::uint32_t abstract_levels) {
-  analyze_stack_.clear();
-  analyze_stack_.push_back(lit);
-  const std::size_t top = analyze_clear_.size();
-  while (!analyze_stack_.empty()) {
-    const Lit q = analyze_stack_.back();
-    analyze_stack_.pop_back();
-    const Reason r = reason_[q.var()];
-    CSAT_DCHECK(!r.is_none());
-    // Antecedent literals of q's reason, excluding q itself: the stored
-    // other literal for a binary reason, positions 1.. for an arena clause.
-    Lit bin[1];
-    std::span<const Lit> rest;
-    if (r.is_binary()) {
-      bin[0] = r.other;
-      rest = std::span<const Lit>(bin, 1);
-    } else {
-      rest = arena_[r.cref].lits().subspan(1);
-    }
-    for (const Lit l : rest) {
-      const std::uint32_t v = l.var();
-      if (seen_[v] || level_[v] == 0) continue;
-      if (!reason_[v].is_none() &&
-          ((1u << (level_[v] & 31)) & abstract_levels) != 0) {
-        seen_[v] = 1;
-        analyze_stack_.push_back(l);
-        analyze_clear_.push_back(l);
-      } else {
-        for (std::size_t k = top; k < analyze_clear_.size(); ++k)
-          seen_[analyze_clear_[k].var()] = 0;
-        analyze_clear_.resize(top);
-        return false;
-      }
-    }
-  }
-  return true;
 }
 
 Solver::ConflictLevel Solver::find_conflict_level(const Conflict& confl) {
@@ -727,19 +278,7 @@ void Solver::make_watched_first(ClauseRef cref, Lit l) {
   }
   CSAT_DCHECK(c[0] == l);
   watch_remove(!old0, cref);
-  watch_push(!l, {cref, c[1]});
-}
-
-void Solver::detach_clause(ClauseRef cref) {
-  ClauseArena::Clause c = arena_[cref];
-  watch_remove(!c[0], cref);
-  watch_remove(!c[1], cref);
-}
-
-bool Solver::reason_locked(ClauseRef cref) {
-  const Lit first = arena_[cref][0];
-  const Reason r = reason_[first.var()];
-  return value(first) == kTrue && r.is_clause() && r.cref == cref;
+  watch_.push((!l).x, {cref, c[1]});
 }
 
 // --- vivification ------------------------------------------------------------
@@ -856,8 +395,8 @@ bool Solver::vivify_one(ClauseRef cref) {
   }
   const std::size_t new_size = kept.size();
   if (new_size == old_size) {  // nothing strengthened: reattach unchanged
-    watch_push(!vivify_lits_[0], {cref, vivify_lits_[1]});
-    watch_push(!vivify_lits_[1], {cref, vivify_lits_[0]});
+    watch_.push((!vivify_lits_[0]).x, {cref, vivify_lits_[1]});
+    watch_.push((!vivify_lits_[1]).x, {cref, vivify_lits_[0]});
     return true;
   }
   ++stats_.vivified_clauses;
@@ -906,8 +445,8 @@ bool Solver::vivify_one(ClauseRef cref) {
       std::min(c.lbd(), static_cast<std::uint32_t>(new_size));
   c.set_lbd(new_lbd);
   if (learnt && new_lbd <= config_.glue_keep) c.set_protect();
-  watch_push(!kept[0], {cref, kept[1]});
-  watch_push(!kept[1], {cref, kept[0]});
+  watch_.push((!kept[0]).x, {cref, kept[1]});
+  watch_.push((!kept[1]).x, {cref, kept[0]});
   return true;
 }
 
@@ -988,9 +527,9 @@ void Solver::on_conflict_for_restart(std::uint32_t lbd) {
 }
 
 bool Solver::should_restart() const {
-  const std::uint64_t since = stats_.conflicts - conflicts_at_restart_;
   if (config_.restarts == SolverConfig::Restarts::kLuby)
-    return since >= luby_budget_;
+    return luby_restart_due();
+  const std::uint64_t since = stats_.conflicts - conflicts_at_restart_;
   return since >= config_.ema_min_conflicts &&
          ema_fast_ > config_.ema_margin * ema_slow_;
 }
@@ -1022,117 +561,6 @@ std::uint32_t Solver::reusable_trail_level() {
     ++keep;
   }
   return keep;
-}
-
-void Solver::reduce_db() {
-  ++stats_.reductions;
-  // Delete the worse half of deletable learnt clauses (high LBD first, low
-  // activity as tie-break). Protected (glue — the flag is set at attach for
-  // LBD <= glue_keep), inline binary and reason-locked clauses survive.
-  // learnt_refs_ holds no garbage on entry: marked clauses are erased below
-  // in the same cycle.
-  std::vector<ClauseRef> deletable;
-  for (ClauseRef cr : learnt_refs_) {
-    ClauseArena::Clause c = arena_[cr];
-    if (c.protect() || reason_locked(cr)) continue;
-    deletable.push_back(cr);
-  }
-  std::sort(deletable.begin(), deletable.end(), [&](ClauseRef a, ClauseRef b) {
-    ClauseArena::Clause ca = arena_[a];
-    ClauseArena::Clause cb = arena_[b];
-    if (ca.lbd() != cb.lbd()) return ca.lbd() > cb.lbd();
-    return ca.activity() < cb.activity();
-  });
-  const std::size_t to_remove = deletable.size() / 2;
-  for (std::size_t i = 0; i < to_remove; ++i) {
-    // Proof deletion at mark time: the literals are intact until the next
-    // compaction, and advisory delete lines keep checker state small.
-    proof_delete(arena_[deletable[i]].lits());
-    arena_.mark_garbage(deletable[i]);
-    ++stats_.removed;
-  }
-  if (to_remove > 0) {
-    purge_garbage_watchers();
-    std::erase_if(learnt_refs_,
-                  [&](ClauseRef cr) { return arena_[cr].garbage(); });
-  }
-  // Mark-compact once a quarter of the arena is dead: amortizes the copy
-  // against the fragmentation BCP would otherwise walk over.
-  if (arena_.garbage_words() > 0 &&
-      arena_.garbage_words() * 4 >= arena_.size_words()) {
-    collect_garbage();
-  }
-  // The watcher arena defragments on the clause-DB GC cadence with the same
-  // quarter-dead trigger: slabs abandoned by growth relocation are the
-  // watcher-side analogue of garbage clause words.
-  if (config_.flat_watch) {
-    if (watch_flat_.dead_slots() * 4 >= watch_flat_.total_slots() &&
-        watch_flat_.dead_slots() > 0) {
-      // Blocker-aware repack: front the watchers BCP will skip without a
-      // clause visit (blocker currently true), so the post-GC descent reads
-      // them as one sequential run before any cache-missing clause loads.
-      if (config_.blocker_sorted_compact) {
-        watch_flat_.compact(
-            [this](const Watcher& w) { return value(w.blocker) == kTrue; });
-      } else {
-        watch_flat_.compact();
-      }
-    }
-    if (bin_watch_.dead_slots() * 4 >= bin_watch_.total_slots() &&
-        bin_watch_.dead_slots() > 0) {
-      bin_watch_.compact();
-    }
-  }
-}
-
-void Solver::purge_garbage_watchers() {
-  // Single sweep over every watch list instead of per-clause detach: a
-  // reduction round deletes thousands of clauses, so one O(watchers) pass
-  // beats O(deleted * list length) searches.
-  if (config_.flat_watch) {
-    // Binary lists never hold crefs; only the long-clause lists are swept.
-    const std::size_t n = watch_flat_.num_lists();
-    for (std::size_t i = 0; i < n; ++i) {
-      const auto ws = watch_flat_[i];
-      std::uint32_t keep = 0;
-      for (const Watcher& w : ws)
-        if (!arena_[w.cref].garbage()) ws[keep++] = w;
-      watch_flat_.set_size(i, keep);
-    }
-    return;
-  }
-  for (auto& ws : watches_) {
-    std::size_t keep = 0;
-    for (const Watcher& w : ws)
-      if (w.cref == kClauseRefBinary || !arena_[w.cref].garbage())
-        ws[keep++] = w;
-    ws.resize(keep);
-  }
-}
-
-void Solver::collect_garbage() {
-  ++stats_.arena_gcs;
-  arena_.compact();
-  // Remap every surviving reference through the forwarding addresses the
-  // compaction left behind. Binaries carry no reference. Reasons are only
-  // meaningful for assigned variables, i.e. exactly the trail. In flat mode
-  // the sweep walks each list's live span — dead slabs hold stale crefs for
-  // which forwarding is undefined.
-  if (config_.flat_watch) {
-    const std::size_t n = watch_flat_.num_lists();
-    for (std::size_t i = 0; i < n; ++i)
-      for (Watcher& w : watch_flat_[i]) w.cref = arena_.forwarded(w.cref);
-  } else {
-    for (auto& ws : watches_)
-      for (Watcher& w : ws)
-        if (w.cref != kClauseRefBinary) w.cref = arena_.forwarded(w.cref);
-  }
-  for (const Lit l : trail_) {
-    Reason& r = reason_[l.var()];
-    if (r.is_clause()) r.cref = arena_.forwarded(r.cref);
-  }
-  for (ClauseRef& cr : learnt_refs_) cr = arena_.forwarded(cr);
-  arena_.compact_release();
 }
 
 // --- clause sharing ----------------------------------------------------------
@@ -1232,41 +660,23 @@ bool Solver::import_clauses() {
 Status Solver::solve(const Limits& limits) {
   const Status status = search(limits);
   // Storage gauges are refreshed once per solve, not in the hot loop.
-  stats_.watch_bytes = watch_bytes_now();
-  stats_.watcher_relocations =
-      watch_flat_.relocations() + bin_watch_.relocations();
+  stats_.watch_bytes = watch_bytes();
+  stats_.watcher_relocations = watch_.relocations() + bin_watch_.relocations();
   stats_.memory_bytes = memory_bytes();
   return status;
-}
-
-std::uint64_t Solver::watch_bytes_now() const {
-  if (config_.flat_watch) return watch_flat_.bytes() + bin_watch_.bytes();
-  std::uint64_t total = watches_.capacity() * sizeof(std::vector<Watcher>);
-  for (const auto& ws : watches_) total += ws.capacity() * sizeof(Watcher);
-  return total;
 }
 
 std::uint64_t Solver::memory_bytes() const {
   // The clause arena and watch lists dominate (and are the only parts that
   // grow during search); the per-variable state is counted so a cap sized
   // below the formula's own footprint trips immediately instead of never.
-  std::uint64_t total = arena_.bytes() + watch_bytes_now();
-  total += value_.capacity() * sizeof(std::uint8_t);
-  total += phase_.capacity() * sizeof(std::uint8_t);
-  total += seen_.capacity() * sizeof(std::uint8_t);
-  total += level_.capacity() * sizeof(std::uint32_t);
-  total += trail_.capacity() * sizeof(Lit);
-  total += reason_.capacity() * sizeof(Reason);
-  total += activity_.capacity() * sizeof(double);
-  total += heap_.capacity() * sizeof(std::uint32_t);
-  total += heap_pos_.capacity() * sizeof(std::int32_t);
-  total += learnt_refs_.capacity() * sizeof(ClauseRef);
-  return total;
+  return kernel_bytes() + heap_.capacity() * sizeof(std::uint32_t) +
+         heap_pos_.capacity() * sizeof(std::int32_t);
 }
 
 Status Solver::search(const Limits& limits) {
   if (!ok_) return proved_unsat();
-  Stopwatch watch;
+  Budget budget = begin_solve(limits);
 
   if (!propagate().is_none()) {
     ok_ = false;
@@ -1274,49 +684,9 @@ Status Solver::search(const Limits& limits) {
   }
   if (!import_clauses()) return proved_unsat();
 
-  conflicts_at_restart_ = stats_.conflicts;
-  luby_index_ = 0;
-  luby_budget_ = luby(++luby_index_) * config_.luby_unit;
-  reduce_budget_ = config_.reduce_first;
-
-  // Memory budgets: sampled on a 64-conflict cadence (memory_bytes() is not
-  // O(1) in nested-watch mode) plus once up front, so a hard cap below even
-  // the formula's own footprint returns memout immediately rather than
-  // never. Soft-cap reductions are spaced out — a footprint reduce_db()
-  // cannot shrink (protected/locked clauses, watch-list high water) must
-  // not retrigger a full reduction pass every conflict.
-  const bool mem_capped =
-      limits.soft_memory_bytes != 0 || limits.hard_memory_bytes != 0;
-  std::uint64_t next_mem_check = stats_.conflicts;
-  std::uint64_t soft_reduce_at = 0;
-  const auto memory_exhausted = [&]() -> bool {
-    if (!mem_capped || stats_.conflicts < next_mem_check) return false;
-    next_mem_check = stats_.conflicts + 64;
-    std::uint64_t bytes = memory_bytes();
-    if (limits.soft_memory_bytes != 0 && bytes > limits.soft_memory_bytes &&
-        stats_.conflicts >= soft_reduce_at) {
-      soft_reduce_at = stats_.conflicts + 512;
-      reduce_db();
-      ++stats_.memory_reductions;
-      bytes = memory_bytes();
-    }
-    if (limits.hard_memory_bytes != 0 && bytes > limits.hard_memory_bytes) {
-      ++stats_.memout_stops;
-      return true;
-    }
-    return false;
-  };
-
   std::vector<Lit> learnt;
   for (;;) {
-    // Checked every iteration (conflicts included) so portfolio losers stop
-    // promptly even inside long conflict bursts.
-    if (limits.terminate != nullptr &&
-        limits.terminate->load(std::memory_order_relaxed)) {
-      backtrack(0);
-      return Status::kUnknown;
-    }
-    if (memory_exhausted()) {
+    if (interrupted(budget)) {
       backtrack(0);
       return Status::kUnknown;
     }
@@ -1372,34 +742,12 @@ Status Solver::search(const Limits& limits) {
         ++stats_.chrono_backtracks;
       }
       backtrack(target);
-      stats_.learnt_literals += learnt.size();
-      proof_add(learnt);  // first-UIP clause: RUP by construction
-      if (learnt.size() == 1) {
-        enqueue_at(learnt[0], Reason::none(), 0);
-      } else {
-        enqueue_at(learnt[0], attach_clause(learnt, /*learnt=*/true, lbd),
-                   bt_level);
-      }
+      learn(learnt, lbd, bt_level);
       if (exchange_ != nullptr) export_clause(learnt, lbd);
-      decay_var_activity();
-      decay_clause_activity();
+      decay_activities();
       on_conflict_for_restart(lbd);
-      if (stats_.conflicts >= reduce_budget_) {
-        reduce_db();
-        ++reduce_count_;
-        reduce_budget_ =
-            stats_.conflicts + config_.reduce_first +
-            config_.reduce_increment * reduce_count_;
-      }
-      // Budget enforcement on the conflict path too: a conflict burst
-      // `continue`s here every iteration and would otherwise sail past the
-      // no-conflict-path check below for unboundedly long on hard UNSAT
-      // instances. Checking after the learnt clause is attached keeps the
-      // state resumable and bounds the overshoot to the conflict in hand.
-      if (stats_.conflicts >= limits.max_conflicts ||
-          stats_.decisions >= limits.max_decisions ||
-          (limits.max_seconds != std::numeric_limits<double>::infinity() &&
-           watch.seconds() > limits.max_seconds)) {
+      reduce_on_schedule();
+      if (exhausted(budget)) {
         backtrack(0);
         return Status::kUnknown;
       }
@@ -1414,10 +762,7 @@ Status Solver::search(const Limits& limits) {
       continue;  // imported clauses may propagate: find the new fixpoint
     }
 
-    if (stats_.conflicts >= limits.max_conflicts ||
-        stats_.decisions >= limits.max_decisions ||
-        (limits.max_seconds != std::numeric_limits<double>::infinity() &&
-         watch.seconds() > limits.max_seconds)) {
+    if (exhausted(budget)) {
       backtrack(0);
       return Status::kUnknown;
     }
@@ -1445,11 +790,9 @@ Status Solver::search(const Limits& limits) {
       } else {
         ++stats_.reused_trails;
       }
-      conflicts_at_restart_ = stats_.conflicts;
-      if (config_.restarts == SolverConfig::Restarts::kLuby)
-        luby_budget_ = luby(++luby_index_) * config_.luby_unit;
-      else
-        ema_fast_ = 0.0;  // forgive the spike that triggered the restart
+      next_restart_interval();
+      // EMA: forgive the spike that triggered the restart.
+      if (config_.restarts == SolverConfig::Restarts::kEma) ema_fast_ = 0.0;
       continue;
     }
 
@@ -1476,93 +819,8 @@ Status Solver::search(const Limits& limits) {
       backtrack(0);
       return Status::kSat;
     }
-    ++stats_.decisions;
-    trail_lim_.push_back(static_cast<std::uint32_t>(trail_.size()));
-    stats_.max_decision_level =
-        std::max<std::uint64_t>(stats_.max_decision_level, decision_level());
-    enqueue(next, Reason::none());
+    decide(next);
   }
-}
-
-bool Solver::check_watches() {
-  bool ok = true;
-  const auto fail = [&ok](const char* what, std::uint64_t a, std::uint64_t b) {
-    std::fprintf(stderr, "check_watches: %s (%llu, %llu)\n", what,
-                 static_cast<unsigned long long>(a),
-                 static_cast<unsigned long long>(b));
-    ok = false;
-  };
-  const std::size_t nlists = 2 * static_cast<std::size_t>(num_vars());
-
-  // Long-clause watchers: per-cref hit counts for each watch slot, plus
-  // per-entry sanity (live in-range clause, list literal negates one of the
-  // first two clause literals, blocker is a clause literal).
-  std::vector<std::uint8_t> slot0(arena_.size_words(), 0);
-  std::vector<std::uint8_t> slot1(arena_.size_words(), 0);
-  const auto check_long = [&](std::size_t list, const Watcher& w) {
-    if (w.cref >= arena_.size_words()) {
-      fail("watcher cref out of range", list, w.cref);
-      return;
-    }
-    ClauseArena::Clause c = arena_[w.cref];
-    if (c.garbage()) {
-      fail("watcher references garbage clause", list, w.cref);
-      return;
-    }
-    const Lit not_p = !Lit(static_cast<std::uint32_t>(list));
-    if (c[0] == not_p) {
-      if (++slot0[w.cref] > 1) fail("clause watched twice on lit 0", list, w.cref);
-    } else if (c[1] == not_p) {
-      if (++slot1[w.cref] > 1) fail("clause watched twice on lit 1", list, w.cref);
-    } else {
-      fail("list literal is not a watch of the clause", list, w.cref);
-    }
-    bool blocker_in_clause = false;
-    for (const Lit l : c.lits()) blocker_in_clause |= l == w.blocker;
-    if (!blocker_in_clause) fail("blocker not a clause literal", list, w.cref);
-  };
-
-  // Binary clauses: every entry {list p, implied other} is clause
-  // {!p, other} and must appear mirrored in (!other)'s list. Collect each
-  // direction keyed by the canonical (sorted) literal pair; symmetric
-  // multisets <=> every clause is attached in both directions.
-  std::vector<std::uint64_t> bin_fwd;
-  std::vector<std::uint64_t> bin_rev;
-  const auto check_binary = [&](std::size_t list, Lit other) {
-    const Lit a = !Lit(static_cast<std::uint32_t>(list));
-    const std::uint64_t key = a.x < other.x
-                                  ? (static_cast<std::uint64_t>(a.x) << 32) | other.x
-                                  : (static_cast<std::uint64_t>(other.x) << 32) | a.x;
-    (a.x < other.x ? bin_fwd : bin_rev).push_back(key);
-  };
-
-  if (config_.flat_watch) {
-    for (std::size_t i = 0; i < watch_flat_.num_lists() && i < nlists; ++i)
-      for (const Watcher& w : watch_flat_[i]) check_long(i, w);
-    for (std::size_t i = 0; i < bin_watch_.num_lists() && i < nlists; ++i)
-      for (const Lit other : bin_watch_[i]) check_binary(i, other);
-  } else {
-    for (std::size_t i = 0; i < watches_.size() && i < nlists; ++i) {
-      for (const Watcher& w : watches_[i]) {
-        if (w.cref == kClauseRefBinary)
-          check_binary(i, w.blocker);
-        else
-          check_long(i, w);
-      }
-    }
-  }
-
-  arena_.for_each_clause([&](ClauseRef cref) {
-    if (slot0[cref] != 1 || slot1[cref] != 1)
-      fail("live clause not watched exactly twice", slot0[cref] + slot1[cref],
-           cref);
-  });
-  std::sort(bin_fwd.begin(), bin_fwd.end());
-  std::sort(bin_rev.begin(), bin_rev.end());
-  if (bin_fwd != bin_rev)
-    fail("binary lists are not mirror-symmetric", bin_fwd.size(),
-         bin_rev.size());
-  return ok;
 }
 
 Status Solver::solve_assuming(std::span<const Lit> assumptions,

@@ -2,15 +2,17 @@
 #define CSAT_SAT_SOLVER_H
 
 /// \file solver.h
-/// Conflict-Driven Clause Learning SAT solver.
+/// Conflict-Driven Clause Learning SAT solver over CNF.
 ///
-/// A self-contained CDCL solver in the MiniSat/CaDiCaL lineage:
-/// two-watched-literal propagation with blocker literals over a flat clause
-/// arena (sat/arena.h), binary clauses inlined entirely in the watch lists,
-/// first-UIP conflict analysis with recursive clause minimization, EVSIDS
-/// decision heuristic with phase saving, Luby or Glucose-EMA restarts, and
-/// LBD/activity-driven learnt clause database reduction with mark-compact
-/// garbage collection.
+/// A CDCL solver in the MiniSat/CaDiCaL lineage, built on the CDCL kernel
+/// it shares with the circuit-native solver (sat/cdcl_kernel.h): that
+/// kernel supplies the clause store (flat clause arena, flat watcher arena
+/// with blocker literals, dense binary lists propagated to fixpoint before
+/// any long clause), first-UIP analysis with recursive minimization, LBD,
+/// learnt-DB reduction with mark-compact GC, the Limits checkpoints and the
+/// Luby schedule. This class adds what is CNF-specific: the EVSIDS decision
+/// heap with phase saving, Glucose-EMA restarts as an alternative to Luby,
+/// and the inprocessing, sharing, proof and assumption layers below.
 ///
 /// Inprocessing (all SolverConfig toggles):
 ///  * Chronological backtracking: when first-UIP analysis asks for a
@@ -68,16 +70,12 @@
 #include <vector>
 
 #include "cnf/cnf.h"
-#include "sat/arena.h"
+#include "sat/cdcl_kernel.h"
 #include "sat/clause_exchange.h"
-#include "sat/watch.h"
 
 namespace csat::sat {
 
-class ProofTracer;  // sat/proof.h
-
 using cnf::Cnf;
-using cnf::Lit;
 
 /// Verdict of a solve: kUnknown means a budget/cancellation stopped the
 /// search, never that the formula is undecidable.
@@ -143,27 +141,6 @@ struct SolverConfig {
   /// itself. Off by default: learnt clauses pay off faster per propagation.
   bool vivify_irredundant = false;
 
-  /// --- propagation engine ---
-  /// Flat watcher engine (the default): long-clause watchers live in one
-  /// contiguous per-literal slab arena (sat/watch.h) and binary clauses in
-  /// dense single-literal lists propagated to fixpoint before any long
-  /// clause, with software prefetching of the upcoming watcher slab and
-  /// clause header. Off selects the nested vector<vector<Watcher>> fallback
-  /// engine (binaries inlined in the shared lists), kept measurable for A/B
-  /// runs (`sat_micro --flat-watch=off`). Fixed at construction: the two
-  /// engines keep disjoint storage and reset() preserves the choice.
-  bool flat_watch = true;
-
-  /// Order each watch list by blocker liveness during the post-GC
-  /// defragmentation (FlatLists::compact with a predicate): watchers whose
-  /// blocker is currently satisfied are repacked first, so the next descent
-  /// burns through the cheap blocker-skip entries as one sequential run
-  /// before any clause memory is touched. Off restores plain order-
-  /// preserving compaction (`sat_micro --blocker-sort=off` A/B lever).
-  /// Flat-engine only; changes watch-list order and therefore the search
-  /// trajectory, not correctness.
-  bool blocker_sorted_compact = true;
-
   /// Stand-in for Kissat 4.0: aggressive EMA restarts, fast variable decay.
   static SolverConfig kissat_like() {
     SolverConfig c;
@@ -222,12 +199,11 @@ struct Stats {
   /// drained them (the publisher is unknowable once the slot is reused, so
   /// this includes the worker's own exports).
   std::uint64_t import_lost = 0;
-  /// Literals enqueued by the dedicated binary-clause pass (flat engine
-  /// only; the nested fallback folds these into `propagations`).
+  /// Literals enqueued by the dedicated binary-clause pass.
   std::uint64_t binary_props = 0;
-  /// Watcher slab moves paid to grow a full per-literal list (flat engine;
-  /// zero on the first descent when the occurrence-histogram reservation
-  /// sized every list right).
+  /// Watcher slab moves paid to grow a full per-literal list (zero on the
+  /// first descent when the occurrence-histogram reservation sized every
+  /// list right).
   std::uint64_t watcher_relocations = 0;
   /// Heap footprint of the watch lists in bytes — a gauge refreshed at
   /// every solve() exit, not a monotonic counter.
@@ -261,37 +237,13 @@ struct SharingLimits {
   bool import_at_fixpoint = true;
 };
 
-/// Per-solve() search budget; defaults mean "unlimited". Budgets are
-/// checked at conflict/restart checkpoints, so overshoot is bounded by one
-/// propagation round. Exhaustion yields Status::kUnknown with the solver
-/// state intact — a later solve() resumes where the search left off.
-struct Limits {
-  std::uint64_t max_conflicts = std::numeric_limits<std::uint64_t>::max();
-  std::uint64_t max_decisions = std::numeric_limits<std::uint64_t>::max();
-  double max_seconds = std::numeric_limits<double>::infinity();  ///< wall-clock
-  /// External cancellation (portfolio first-finisher-wins, server deadline
-  /// watchdog): when non-null and set, solve() backtracks to level 0 and
-  /// returns Status::kUnknown at the next checkpoint. The solver only reads
-  /// through this pointer; the clause database and stats stay valid and a
-  /// later solve() may resume.
-  const std::atomic<bool>* terminate = nullptr;
-  /// Memory budgets over Solver::memory_bytes() (0 = unlimited), checked on
-  /// the conflict checkpoint cadence like the other budgets. Crossing the
-  /// soft cap forces a reduce_db() pass (rate-limited so a footprint that
-  /// will not shrink cannot thrash); crossing the hard cap stops the search
-  /// with Status::kUnknown and Stats::memout_stops incremented — instead of
-  /// dying inside operator new. The solver stays valid and reusable.
-  std::uint64_t soft_memory_bytes = 0;
-  std::uint64_t hard_memory_bytes = 0;
-};
-
 /// Thread model: a Solver instance is confined to one thread at a time (no
 /// internal locking); distinct instances never share state, so any number
 /// may run concurrently. The only cross-thread channels are the read-only
 /// Limits::terminate flag and a connected ClauseExchange (which is
 /// internally synchronized and must outlive the connection). The solver
 /// owns its entire clause database; Cnf inputs are copied in.
-class Solver {
+class Solver : private CdclKernel<Solver, SolverConfig, Stats> {
  public:
   explicit Solver(SolverConfig config = {});
 
@@ -377,96 +329,34 @@ class Solver {
 
   /// Current heap footprint in bytes: clause arena + watch lists + the
   /// per-variable/trail state. The quantity Limits::soft_memory_bytes /
-  /// hard_memory_bytes budget. O(1) in flat-watch mode; O(num_vars) with
-  /// the nested fallback engine (per-list capacity sum), which is why the
-  /// search loop samples it on the conflict checkpoint cadence rather than
-  /// every iteration.
+  /// hard_memory_bytes budget. O(1): a sum of buffer capacities.
   [[nodiscard]] std::uint64_t memory_bytes() const;
 
   /// Debug walker (tests only; O(database)): verifies the watch invariants
-  /// of whichever engine is active — every live arena clause is watched
-  /// exactly once on each of its first two literals, every watcher
-  /// references a live in-range clause and carries a blocker that is a
-  /// literal of that clause, and the binary lists are mirror-symmetric
-  /// (clause {a,b} appears in both (!a)'s and (!b)'s list). Returns false
-  /// (with a stderr note) on the first violation. Call between solve()
-  /// calls, not mid-propagation.
-  [[nodiscard]] bool check_watches();
+  /// — every live arena clause is watched exactly once on each of its first
+  /// two literals, every watcher references a live in-range clause and
+  /// carries a blocker that is a literal of that clause, and the binary
+  /// lists are mirror-symmetric (clause {a,b} appears in both (!a)'s and
+  /// (!b)'s list). Returns false (with a stderr note) on the first
+  /// violation. Call between solve() calls, not mid-propagation.
+  [[nodiscard]] bool check_watches() {
+    return Kernel::check_watches("check_watches");
+  }
 
  private:
-  enum : std::uint8_t { kFalse = 0, kTrue = 1, kUnknown = 2 };
+  using Kernel = CdclKernel<Solver, SolverConfig, Stats>;
+  friend Kernel;
 
-  /// Why a variable is assigned: nothing (decision or root unit), an arena
-  /// clause, or an inline binary clause — for binaries the clause has no
-  /// storage, so the reason carries its other (false) literal directly.
-  struct Reason {
-    ClauseRef cref = kClauseRefUndef;
-    Lit other{};
-
-    static Reason none() { return {}; }
-    static Reason clause(ClauseRef c) { return {c, Lit{}}; }
-    static Reason binary(Lit o) { return {kClauseRefBinary, o}; }
-    [[nodiscard]] bool is_none() const { return cref == kClauseRefUndef; }
-    [[nodiscard]] bool is_binary() const { return cref == kClauseRefBinary; }
-    [[nodiscard]] bool is_clause() const { return cref < kClauseRefBinary; }
-  };
-
-  /// Conflict found by propagate(): an arena clause, an inline binary
-  /// clause (both literals false, carried by value), or none.
-  struct Conflict {
-    ClauseRef cref = kClauseRefUndef;
-    Lit a{};
-    Lit b{};
-
-    [[nodiscard]] bool is_none() const { return cref == kClauseRefUndef; }
-    [[nodiscard]] bool is_binary() const { return cref == kClauseRefBinary; }
-  };
-
-  /// Watch-list entry. For arena clauses, blocker is some literal of the
-  /// clause (visits where it is already true skip the arena entirely). For
-  /// inline binary clauses (cref == kClauseRefBinary), blocker *is* the
-  /// other literal of the clause — propagation resolves the visit with no
-  /// arena access at all.
-  struct Watcher {
-    ClauseRef cref;
-    Lit blocker;
-  };
-
-  // --- assignment & propagation ---
-  /// Literal-indexed truth lookup: one byte load, no sign arithmetic — this
-  /// is the single hottest read in propagate() (the blocker test).
-  [[nodiscard]] std::uint8_t value(Lit l) const { return value_[l.x]; }
-  /// Truth value of variable \p v (its positive literal).
-  [[nodiscard]] std::uint8_t var_value(std::uint32_t v) const {
-    return value_[v << 1];
-  }
-  /// Assigns \p l true at an explicit trail level. With chronological
-  /// backtracking, \p lev may be below the current decision level
-  /// (out-of-order assignment: asserting and forced literals are recorded
-  /// at their true asserting level).
-  void enqueue_at(Lit l, Reason reason, std::uint32_t lev);
-  void enqueue(Lit l, Reason reason) { enqueue_at(l, reason, decision_level()); }
-  /// Dispatches on config_.flat_watch to one of the two engines below.
+  // --- propagation ---
+  /// Binary lists to fixpoint first, then one long-clause literal over the
+  /// watcher arena (prefetching ahead), and back.
   Conflict propagate();
-  /// Flat engine: binary lists to fixpoint first, then one long-clause
-  /// literal over the watcher arena (prefetching ahead), and back.
-  Conflict propagate_flat();
-  /// Fallback engine over the nested watch lists, binaries inlined.
-  Conflict propagate_nested();
   /// Unassigns every literal with level > \p level. Literals assigned
   /// out-of-order below that (chrono) survive: they are compacted to the
   /// start of the open segment and re-queued for propagation, which repairs
   /// any watch work their unassigned consequences invalidated.
   void backtrack(std::uint32_t level);
-  [[nodiscard]] std::uint32_t decision_level() const {
-    return static_cast<std::uint32_t>(trail_lim_.size());
-  }
 
-  // --- conflict analysis ---
-  void analyze(const Conflict& confl, std::vector<Lit>& learnt,
-               std::uint32_t& bt_level, std::uint32_t& lbd);
-  [[nodiscard]] bool lit_redundant(Lit l, std::uint32_t abstract_levels);
-  [[nodiscard]] std::uint32_t compute_lbd(std::span<const Lit> lits);
   /// True level of a conflict under chrono (the maximum literal level in
   /// the conflict clause — possibly below the decision level), the number
   /// of clause literals at that level, the single such literal when that
@@ -482,8 +372,10 @@ class Solver {
 
   // --- decisions ---
   Lit pick_branch();
-  void bump_var(std::uint32_t v);
-  void decay_var_activity() { var_inc_ /= config_.var_decay; }
+  /// Kernel hook: a bumped variable moves up the VSIDS heap.
+  void on_var_bumped(std::uint32_t v) {
+    if (heap_pos_[v] >= 0) heap_up(static_cast<std::uint32_t>(heap_pos_[v]));
+  }
   void heap_insert(std::uint32_t v);
   std::uint32_t heap_pop();
   void heap_up(std::uint32_t pos);
@@ -498,42 +390,12 @@ class Solver {
   /// and root-satisfied clauses (kRedundant) and the empty clause (kEmpty).
   enum class RootNorm { kRedundant, kEmpty, kClause };
   RootNorm normalize_at_root(std::span<const Lit> lits, std::vector<Lit>& out);
-  /// Attaches a clause (>= 2 literals): binaries go straight into the watch
-  /// lists, longer clauses into the arena. Returns the reason to use when
-  /// enqueuing lits[0] as the asserting literal.
-  Reason attach_clause(std::span<const Lit> lits, bool learnt,
-                       std::uint32_t lbd);
-  void bump_clause(ClauseArena::Clause c);
-  void decay_clause_activity() { clause_inc_ /= config_.clause_decay; }
-  /// Learnt-DB reduction: marks the worse half of the deletable learnt
-  /// clauses garbage, purges their watchers, and runs a mark-compact arena
-  /// collection (collect_garbage) once enough of the arena is dead.
-  void reduce_db();
-  void purge_garbage_watchers();
-  /// Mark-compact GC: relocates live clauses and remaps every watcher,
-  /// reason and learnt reference. Reason clauses are protected from
-  /// deletion by reduce_db() and skipped by vivify_pass(), so forwarding is
-  /// always defined for them.
-  void collect_garbage();
-  /// Removes the two watcher entries of an arena clause (vivification
-  /// temporarily detaches the clause it re-propagates so it cannot act as
-  /// its own reason); watch-list order is preserved for determinism.
-  void detach_clause(ClauseRef cref);
-  /// Engine-dispatching watch-list primitives: \p key is the list literal
-  /// (the *negation* of the watched clause literal).
-  void watch_push(Lit key, Watcher w);
-  void watch_remove(Lit key, ClauseRef cref);
-  /// Attaches binary clause {a, b} in both directions (dense lists in flat
-  /// mode, kClauseRefBinary-tagged watchers in the nested fallback).
-  void attach_binary(Lit a, Lit b);
-  /// Flat mode: lays the watch headers out from \p formula's
-  /// literal-occurrence histogram (two smallest literals of each clause —
-  /// normalize_at_root() sorts, so those are the ones attach_clause() will
-  /// watch) so the initial attach and first descent pay no slab relocation.
-  /// No-op once any list holds data or in nested mode.
+  /// Lays the watch headers out from \p formula's literal-occurrence
+  /// histogram (two smallest literals of each clause — normalize_at_root()
+  /// sorts, so those are the ones attach_clause() will watch) so the
+  /// initial attach and first descent pay no slab relocation. No-op once
+  /// any list holds data.
   void reserve_watches(const Cnf& formula);
-  /// Current heap footprint of the active engine's watch storage.
-  [[nodiscard]] std::uint64_t watch_bytes_now() const;
   /// Moves \p l into watch position 0 of an arena clause, fixing up the
   /// watch lists when \p l was unwatched. Used by the chrono forced path,
   /// which turns the conflict clause into the reason of its single
@@ -549,9 +411,6 @@ class Solver {
   /// solver back at decision level 0 and reattaches, shrinks, rewrites as
   /// binary/unit, or deletes the clause. Returns false on root UNSAT.
   bool vivify_one(ClauseRef cref);
-  /// Whether the clause is the reason of its first literal's assignment —
-  /// reduce_db() and vivify_pass() must leave such clauses untouched.
-  [[nodiscard]] bool reason_locked(ClauseRef cref);
 
   // --- restarts ---
   [[nodiscard]] bool should_restart() const;
@@ -576,15 +435,6 @@ class Solver {
   /// pressure window and moves export_lbd_ inside the configured band.
   void adapt_sharing(const ClauseExchange::DrainStats& drained);
 
-  // --- proof emission ---
-  void proof_add(std::span<const Lit> lits) {
-    if (proof_ != nullptr) emit_proof_add(lits);
-  }
-  void proof_delete(std::span<const Lit> lits) {
-    if (proof_ != nullptr) emit_proof_delete(lits);
-  }
-  void emit_proof_add(std::span<const Lit> lits);
-  void emit_proof_delete(std::span<const Lit> lits);
   /// Shared epilogue of every UNSAT exit from solve(): emits the empty
   /// clause (once) so the proof is a complete refutation.
   Status proved_unsat();
@@ -593,55 +443,12 @@ class Solver {
   /// watch-storage gauges (Stats::watch_bytes / watcher_relocations).
   Status search(const Limits& limits);
 
-  SolverConfig config_;
-  Stats stats_;
-  bool ok_ = true;
-
-  ClauseArena arena_;                  // all clauses of >= 3 literals
-  std::vector<ClauseRef> learnt_refs_;  // learnt arena subset for reduction
-  /// Watch storage, by engine (config_.flat_watch; the inactive engine's
-  /// containers stay empty). Flat: long-clause watchers in a contiguous
-  /// per-literal slab arena plus binary clauses as bare implied literals in
-  /// their own dense lists. Nested: the historical vector-of-vectors with
-  /// binaries inlined as kClauseRefBinary-tagged watchers. All indexed by
-  /// Lit.x of the falsified literal.
-  FlatLists<Watcher> watch_flat_;
-  FlatLists<Lit> bin_watch_;
-  std::vector<std::vector<Watcher>> watches_;
-
-  std::vector<std::uint8_t> value_;    // per literal (indexed by Lit.x)
-  std::vector<std::uint8_t> phase_;    // saved polarity per var
-  std::vector<std::uint32_t> level_;   // per var
-  std::vector<Reason> reason_;         // per var
-  std::vector<Lit> trail_;
-  std::vector<std::uint32_t> trail_lim_;
-  std::size_t qhead_ = 0;
-  /// Flat engine's binary propagation head: trails qhead_ so every literal
-  /// resolves its binary implications before any long-clause work (unused
-  /// by the nested fallback).
-  std::size_t bin_qhead_ = 0;
-
-  std::vector<double> activity_;
-  double var_inc_ = 1.0;
-  double clause_inc_ = 1.0;
-  std::vector<std::uint32_t> heap_;      // binary max-heap of vars
-  std::vector<std::int32_t> heap_pos_;   // -1 when absent
-
-  // scratch for analyze()
-  std::vector<std::uint8_t> seen_;
-  std::vector<Lit> analyze_stack_;
-  std::vector<Lit> analyze_clear_;
+  std::vector<std::int32_t> heap_pos_;  // -1 when absent
+  std::vector<std::uint32_t> heap_;     // binary max-heap of vars
 
   // restart state
-  std::uint64_t conflicts_at_restart_ = 0;
-  std::uint64_t luby_index_ = 0;
-  std::uint64_t luby_budget_ = 0;
   double ema_fast_ = 0.0;
   double ema_slow_ = 0.0;
-
-  // reduction state
-  std::uint64_t reduce_budget_ = 0;
-  std::uint64_t reduce_count_ = 0;
 
   // vivification state (conflict/propagation marks of the last pass)
   std::uint64_t vivify_conflicts_at_ = 0;
@@ -651,11 +458,6 @@ class Solver {
   /// Set while vivify assumptions are on the trail: their backtrack must
   /// not clobber the search's saved phases.
   bool vivify_active_ = false;
-  /// True while the trail may hold out-of-order assignments (set by any
-  /// below-decision-level enqueue, cleared when a backtrack reaches level
-  /// 0). While clear, every conflict's level equals the decision level by
-  /// construction and the per-conflict level scan is skipped.
-  bool chrono_dirty_ = false;
 
   // clause-sharing state
   ClauseExchange* exchange_ = nullptr;
@@ -678,9 +480,7 @@ class Solver {
   std::unordered_set<std::uint64_t> shared_hashes_;
   std::vector<Lit> norm_scratch_;
 
-  /// DRAT sink (never owned); see set_proof(). proof_empty_emitted_ keeps
-  /// repeated UNSAT exits from duplicating the final empty clause.
-  ProofTracer* proof_ = nullptr;
+  /// Keeps repeated UNSAT exits from duplicating the final empty clause.
   bool proof_empty_emitted_ = false;
 
   std::uint64_t rng_state_;

@@ -26,7 +26,7 @@
 /// relocate the list it targets; any raw pointer or span obtained before a
 /// push is invalid after it. Pushing to list A never moves list B's
 /// *offset*, so hot loops cache {offset, size} and re-derive the base
-/// pointer after a push (Solver::propagate does exactly this).
+/// pointer after a push (CdclKernel::propagate_long does exactly this).
 ///
 /// Owned by one solver, confined to its thread; no internal locking.
 

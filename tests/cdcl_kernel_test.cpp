@@ -1,18 +1,21 @@
-// Tests for the flat watcher arena (sat/watch.h) and the propagation
-// engine built on it: FlatLists storage semantics (slab growth, dead-slot
+// Tests for the CDCL kernel shared by Solver and CircuitSolver
+// (sat/cdcl_kernel.h) and the flat watcher arena it is built on
+// (sat/watch.h): FlatLists storage semantics (slab growth, dead-slot
 // accounting, mark-compact, occurrence-histogram reservation), the
-// Solver::check_watches() invariant walker under heavy interleaving of
-// learning, reduce_db() GC, vivification detach/reattach and restarts, and
-// flat-vs-nested engine differentials. Runs in the ASan/TSan lanes: every
-// watcher is a raw index into a relocatable buffer, so an off-by-one here
-// is exactly the kind of bug only full memory checking surfaces.
+// kernel's watch-invariant walker under heavy interleaving of learning,
+// reduce_db() GC, vivification detach/reattach and restarts, and the
+// per-solve() Limits semantics on both solvers. Runs in the ASan/TSan
+// lanes: every watcher is a raw index into a relocatable buffer, so an
+// off-by-one here is exactly the kind of bug only full memory checking
+// surfaces.
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <vector>
 
-#include "common/rng.h"
+#include "cnf/cnf_to_aig.h"
+#include "sat/circuit_solver.h"
 #include "sat/portfolio.h"
 #include "sat/solver.h"
 #include "sat/watch.h"
@@ -108,9 +111,8 @@ TEST(FlatLists, ClearKeepsHighWaterListCountAndZeroesContents) {
 /// Maximal churn per conflict: constant learnt-DB reduction, aggressive
 /// vivification, frequent restarts — every subsystem that detaches,
 /// reattaches, relocates or remaps watchers fires constantly.
-SolverConfig churn_config(bool flat) {
+SolverConfig churn_config() {
   SolverConfig cfg;
-  cfg.flat_watch = flat;
   cfg.reduce_first = 60;
   cfg.reduce_increment = 15;
   cfg.luby_unit = 16;
@@ -136,39 +138,36 @@ TEST(FlatWatch, ReservationAbsorbsFormulaAttachWithoutRelocations) {
   EXPECT_TRUE(solver.check_watches());
 }
 
-TEST(FlatWatch, InvariantsHoldAcrossBudgetedChurnSlicesBothEngines) {
-  for (const bool flat : {true, false}) {
-    // Pigeonhole is binary-dominated (the bin lists see the churn) and
-    // UNSAT; the random instance exercises long-clause migration.
-    const Cnf formulas[] = {pigeonhole(5), random_3sat(90, 380, 0xC0FFEE)};
-    const Status expected[] = {Status::kUnsat, Status::kUnknown};
-    for (int i = 0; i < 2; ++i) {
-      Solver solver(churn_config(flat));
-      solver.add_formula(formulas[i]);
-      ASSERT_TRUE(solver.check_watches()) << "flat=" << flat << " i=" << i;
-      Status status = Status::kUnknown;
-      // Budgeted slices: every pause is a point where learning, GC,
-      // vivification and restarts have all interleaved since the last
-      // check, and the watch invariants must still hold exactly.
-      for (int slice = 0; slice < 40 && status == Status::kUnknown; ++slice) {
-        Limits limits;
-        limits.max_conflicts = solver.stats().conflicts + 150;
-        status = solver.solve(limits);
-        ASSERT_TRUE(solver.check_watches())
-            << "flat=" << flat << " i=" << i << " slice=" << slice;
-      }
-      if (expected[i] != Status::kUnknown) {
-        EXPECT_EQ(status, expected[i]);
-      }
-      if (status == Status::kSat) {
-        EXPECT_TRUE(check_model(formulas[i], solver.model()));
-      }
+TEST(FlatWatch, InvariantsHoldAcrossBudgetedChurnSlices) {
+  // Pigeonhole is binary-dominated (the bin lists see the churn) and
+  // UNSAT; the random instance exercises long-clause migration.
+  const Cnf formulas[] = {pigeonhole(5), random_3sat(90, 380, 0xC0FFEE)};
+  const Status expected[] = {Status::kUnsat, Status::kUnknown};
+  for (int i = 0; i < 2; ++i) {
+    Solver solver(churn_config());
+    solver.add_formula(formulas[i]);
+    ASSERT_TRUE(solver.check_watches()) << "i=" << i;
+    Status status = Status::kUnknown;
+    // Budgeted slices: every pause is a point where learning, GC,
+    // vivification and restarts have all interleaved since the last check,
+    // and the watch invariants must still hold exactly.
+    for (int slice = 0; slice < 40 && status == Status::kUnknown; ++slice) {
+      Limits limits;
+      limits.max_conflicts = 150;
+      status = solver.solve(limits);
+      ASSERT_TRUE(solver.check_watches()) << "i=" << i << " slice=" << slice;
+    }
+    if (expected[i] != Status::kUnknown) {
+      EXPECT_EQ(status, expected[i]);
+    }
+    if (status == Status::kSat) {
+      EXPECT_TRUE(check_model(formulas[i], solver.model()));
     }
   }
 }
 
 TEST(FlatWatch, WarmResetReusePreservesInvariants) {
-  Solver solver(churn_config(/*flat=*/true));
+  Solver solver(churn_config());
   for (int round = 0; round < 3; ++round) {
     solver.reset();
     const Cnf f = random_3sat(60 + 10 * round, 250 + 45 * round,
@@ -186,32 +185,10 @@ TEST(FlatWatch, WarmResetReusePreservesInvariants) {
   }
 }
 
-TEST(FlatWatch, EnginesAgreeOnVerdictsAcrossRandomInstances) {
-  Rng rng(0x57A7);
-  for (int i = 0; i < 25; ++i) {
-    const int vars = 30 + static_cast<int>(rng.next_below(40));
-    const int clauses = static_cast<int>(
-        static_cast<double>(vars) * (3.6 + 1.2 * rng.next_double()));
-    const Cnf f = random_3sat(vars, clauses, rng.next_u64());
-    SolverConfig on = churn_config(true);
-    SolverConfig off = churn_config(false);
-    const auto r_on = solve_cnf(f, on);
-    const auto r_off = solve_cnf(f, off);
-    EXPECT_EQ(r_on.status, r_off.status) << "iter=" << i;
-    if (r_on.status == Status::kSat) {
-      EXPECT_TRUE(check_model(f, r_on.model)) << "iter=" << i;
-      EXPECT_TRUE(check_model(f, r_off.model)) << "iter=" << i;
-    }
-    // The nested fallback never touches the flat containers.
-    EXPECT_EQ(r_off.stats.binary_props, 0u) << "iter=" << i;
-    EXPECT_EQ(r_off.stats.watcher_relocations, 0u) << "iter=" << i;
-  }
-}
-
 TEST(FlatWatch, DeterministicRerunsProduceIdenticalStats) {
   const Cnf f = pigeonhole(6);
   const auto run = [&] {
-    Solver solver(churn_config(/*flat=*/true));
+    Solver solver(churn_config());
     solver.add_formula(f);
     (void)solver.solve();
     return solver.stats();
@@ -232,10 +209,54 @@ TEST(FlatWatch, PortfolioAggregatesEngineCountersAcrossWorkers) {
   const auto r = solve_portfolio(pigeonhole(5), opt);
   EXPECT_EQ(r.status, Status::kUnsat);
   // Race-wide totals cover every worker, so they dominate any single
-  // worker's counters (the flat engine is the portfolio default).
+  // worker's counters.
   EXPECT_GE(r.total_propagations, r.stats.propagations);
   EXPECT_GT(r.total_propagations, 0u);
   EXPECT_GT(r.total_watch_bytes, 0u);
+}
+
+// --- kernel checkpoints ----------------------------------------------------
+
+TEST(CdclKernel, BudgetsCountFromEachSolveCallOnBothEngines) {
+  // Limits are per solve() call: three 50-conflict slices of PHP(8,7) make
+  // 50 conflicts each on both solvers, and 100-decision slices 100
+  // decisions each — a resumed search never stops on the budgets of the
+  // calls before it.
+  const Cnf php = pigeonhole(7);
+  Solver cnf_solver;
+  cnf_solver.add_formula(php);
+  CircuitSolver circuit_solver;
+  circuit_solver.load(cnf::cnf_to_aig(php));
+
+  const auto slices = [](auto& solver, const char* engine) {
+    for (int slice = 0; slice < 3; ++slice) {
+      Limits limits;
+      limits.max_conflicts = 50;
+      const std::uint64_t before = solver.stats().conflicts;
+      ASSERT_EQ(solver.solve(limits), Status::kUnknown) << engine << slice;
+      EXPECT_EQ(solver.stats().conflicts - before, 50u) << engine << slice;
+    }
+    for (int slice = 0; slice < 3; ++slice) {
+      Limits limits;
+      limits.max_decisions = 100;
+      const std::uint64_t before = solver.stats().decisions;
+      ASSERT_EQ(solver.solve(limits), Status::kUnknown) << engine << slice;
+      EXPECT_EQ(solver.stats().decisions - before, 100u) << engine << slice;
+    }
+  };
+  slices(cnf_solver, "cnf slice ");
+  slices(circuit_solver, "circuit slice ");
+  EXPECT_TRUE(cnf_solver.check_watches());
+  EXPECT_TRUE(circuit_solver.check_justification());
+}
+
+TEST(CdclKernel, CircuitArmMinimizesLearntClausesRecursively) {
+  // The circuit arm runs the kernel's analysis, so its learnt clauses go
+  // through the same recursive minimization as the CNF solver's — over
+  // gate reasons materialized on demand — and still reach the verdict.
+  const auto r = solve_circuit(cnf::cnf_to_aig(pigeonhole(6)));
+  EXPECT_EQ(r.status, Status::kUnsat);
+  EXPECT_GT(r.stats.minimized_lits, 0u);
 }
 
 }  // namespace
