@@ -1,8 +1,9 @@
 // Google-benchmark microbenchmarks for the logic-synthesis engine — the
 // cost model behind the RL agent's action space (each action's latency is
 // part of the paper's "transformation time" in total runtime).
-// Counters report the size reduction each op achieves on the standard
-// workload so throughput and quality are visible together.
+// Counters report the size reduction each op achieves on its workload
+// (a multiplier miter; for the *Adder cases an adder miter) so throughput
+// and quality are visible together.
 
 #include <benchmark/benchmark.h>
 
@@ -35,9 +36,18 @@ aig::Aig standard_workload(int scale) {
   return gen::make_miter(m1, m2);
 }
 
+aig::Aig adder_workload(int width) {
+  // A wide adder-equivalence miter, normalized as the pipeline does: the
+  // preprocess-bound instance of the Fig. 4 slice, where every root's
+  // fanout-free cone is deep.
+  return synth::apply_recipe(aig::cleanup_copy(gen::make_adder_miter(width)),
+                             synth::normalization_recipe());
+}
+
 template <typename Op>
-void run_op_benchmark(benchmark::State& state, Op op) {
-  const aig::Aig g = standard_workload(static_cast<int>(state.range(0)));
+void run_op_benchmark(benchmark::State& state, Op op,
+                      aig::Aig (*workload)(int) = standard_workload) {
+  const aig::Aig g = workload(static_cast<int>(state.range(0)));
   std::size_t after = 0;
   for (auto _ : state) {
     const aig::Aig h = op(g);
@@ -68,6 +78,19 @@ void BM_Compress2(benchmark::State& state) {
     return synth::apply_recipe(g, synth::compress2_recipe());
   });
 }
+void BM_ResubAdder(benchmark::State& state) {
+  run_op_benchmark(
+      state, [](const aig::Aig& g) { return synth::resub(g); },
+      adder_workload);
+}
+void BM_Compress2Adder(benchmark::State& state) {
+  run_op_benchmark(
+      state,
+      [](const aig::Aig& g) {
+        return synth::apply_recipe(g, synth::compress2_recipe());
+      },
+      adder_workload);
+}
 
 }  // namespace
 
@@ -76,5 +99,7 @@ BENCHMARK(BM_Refactor)->Arg(5)->Arg(8)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_Balance)->Arg(5)->Arg(8)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_Resub)->Arg(5)->Arg(8)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_Compress2)->Arg(5)->Arg(8)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_ResubAdder)->Arg(128)->Arg(256)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_Compress2Adder)->Arg(128)->Arg(256)->Unit(benchmark::kMillisecond);
 
 BENCHMARK_MAIN();

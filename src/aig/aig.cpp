@@ -76,33 +76,6 @@ std::size_t Aig::num_complemented_edges() const {
   return n;
 }
 
-int Aig::mffc_size(std::uint32_t n) const {
-  if (!is_and(n)) return 0;
-  // Simulated dereference on scratch counters: a fanin joins the MFFC when
-  // removing its last reference. MFFCs are tiny, so a linear-scan counter
-  // list beats hashing (this runs once per node in every synthesis pass).
-  std::vector<std::pair<std::uint32_t, std::uint32_t>> deref;
-  const auto bump = [&deref](std::uint32_t node) -> std::uint32_t& {
-    for (auto& [id, count] : deref)
-      if (id == node) return count;
-    deref.emplace_back(node, 0u);
-    return deref.back().second;
-  };
-  int size = 0;
-  std::vector<std::uint32_t> stack{n};
-  while (!stack.empty()) {
-    const std::uint32_t cur = stack.back();
-    stack.pop_back();
-    ++size;
-    for (Lit f : {fanin0(cur), fanin1(cur)}) {
-      const std::uint32_t child = f.node();
-      if (!is_and(child)) continue;
-      if (++bump(child) == nodes_[child].fanout_count) stack.push_back(child);
-    }
-  }
-  return size;
-}
-
 std::vector<std::uint32_t> Aig::live_ands() const {
   std::vector<char> mark(nodes_.size(), 0);
   std::vector<std::uint32_t> stack;

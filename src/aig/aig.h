@@ -153,11 +153,6 @@ class Aig {
 
   /// --- analysis helpers ---------------------------------------------------
 
-  /// Size of the maximum fanout-free cone of \p n: the AND nodes that would
-  /// become dead if n were removed. Non-destructive (uses a scratch copy of
-  /// the reference counts).
-  [[nodiscard]] int mffc_size(std::uint32_t n) const;
-
   /// Nodes in topological order restricted to the transitive fanin cones of
   /// the POs (i.e. live nodes), excluding constant and PIs.
   [[nodiscard]] std::vector<std::uint32_t> live_ands() const;

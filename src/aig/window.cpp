@@ -7,7 +7,7 @@ namespace csat::aig {
 namespace {
 
 /// Leaves sets are tiny (<= ~12), so linear scans beat hashing.
-bool contains(const std::vector<std::uint32_t>& xs, std::uint32_t x) {
+bool contains(std::span<const std::uint32_t> xs, std::uint32_t x) {
   return std::find(xs.begin(), xs.end(), x) != xs.end();
 }
 
@@ -78,9 +78,13 @@ std::vector<std::uint32_t> collect_cone(const Aig& g, std::uint32_t root,
   return cone;
 }
 
-std::vector<std::uint32_t> mffc_nodes(const Aig& g, std::uint32_t root) {
+std::vector<std::uint32_t> mffc_bounded(const Aig& g, std::uint32_t root,
+                                        std::span<const std::uint32_t> leaves) {
   if (!g.is_and(root)) return {};
-  // Deref counters for the handful of nodes touched; tiny, so linear maps.
+  // Simulated dereference on scratch counters: a fanin joins the MFFC when
+  // the walk removes its last reference. The walk stays inside the window
+  // cone, so linear-scan counter lists beat hashing. The result doubles as
+  // the work queue.
   std::vector<std::pair<std::uint32_t, std::uint32_t>> deref;
   const auto bump = [&deref](std::uint32_t n) -> std::uint32_t& {
     for (auto& [node, count] : deref)
@@ -88,16 +92,13 @@ std::vector<std::uint32_t> mffc_nodes(const Aig& g, std::uint32_t root) {
     deref.emplace_back(n, 0u);
     return deref.back().second;
   };
-  std::vector<std::uint32_t> result;
-  std::vector<std::uint32_t> stack{root};
-  while (!stack.empty()) {
-    const std::uint32_t cur = stack.back();
-    stack.pop_back();
-    result.push_back(cur);
+  std::vector<std::uint32_t> result{root};
+  for (std::size_t i = 0; i < result.size(); ++i) {
+    const std::uint32_t cur = result[i];
     for (Lit f : {g.fanin0(cur), g.fanin1(cur)}) {
       const std::uint32_t child = f.node();
-      if (!g.is_and(child)) continue;
-      if (++bump(child) == g.fanout_count(child)) stack.push_back(child);
+      if (!g.is_and(child) || contains(leaves, child)) continue;
+      if (++bump(child) == g.fanout_count(child)) result.push_back(child);
     }
   }
   return result;
@@ -114,13 +115,12 @@ FanoutIndex::FanoutIndex(const Aig& g) : fanouts_(g.num_nodes()) {
 
 std::vector<std::uint32_t> collect_divisors(const Aig& g, std::uint32_t root,
                                             const std::vector<std::uint32_t>& leaves,
+                                            const std::vector<std::uint32_t>& mffc,
                                             const FanoutIndex& fanouts,
                                             int max_divisors) {
   // Everything expressible over the leaves: start with the leaves, close
   // forward over nodes whose both fanins are already inside; skip the MFFC
   // of root (it disappears with root) and anything at/above root's level.
-  const auto mffc = mffc_nodes(g, root);
-
   std::vector<std::uint32_t> divisors(leaves.begin(), leaves.end());
   std::vector<std::uint32_t> frontier(leaves.begin(), leaves.end());
   const auto inside = [&divisors](std::uint32_t n) {

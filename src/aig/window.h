@@ -11,6 +11,7 @@
 /// the leaves.
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "aig/aig.h"
@@ -29,9 +30,14 @@ std::vector<std::uint32_t> reconv_cut(const Aig& g, std::uint32_t root,
 std::vector<std::uint32_t> collect_cone(const Aig& g, std::uint32_t root,
                                         const std::vector<std::uint32_t>& leaves);
 
-/// Marks the maximum fanout-free cone of \p root: returns the node ids in
-/// the MFFC (ANDs only, root included).
-std::vector<std::uint32_t> mffc_nodes(const Aig& g, std::uint32_t root);
+/// The maximum fanout-free cone of \p root bounded at \p leaves: the AND
+/// nodes freed when root is replaced by a structure over the leaves. The
+/// dereference walk never enters a leaf (it stays alive as an input of the
+/// replacement), so \p leaves must be a cut of root and the walk stays in
+/// `collect_cone(g, root, leaves)`. Root comes first; empty if root is not
+/// an AND.
+std::vector<std::uint32_t> mffc_bounded(const Aig& g, std::uint32_t root,
+                                        std::span<const std::uint32_t> leaves);
 
 /// Explicit fanout adjacency, built once per synthesis pass (the append-only
 /// Aig does not maintain fanout lists).
@@ -49,10 +55,12 @@ class FanoutIndex {
 
 /// Collects divisor candidates for resubstitution at \p root: nodes (ANDs,
 /// PIs or leaves) whose function is expressible over \p leaves, excluding
-/// the MFFC of root (those disappear when root is replaced). The forward
-/// expansion from the leaves is bounded by \p max_divisors.
+/// \p mffc, root's MFFC bounded at the same leaves (`mffc_bounded`; those
+/// nodes disappear when root is replaced). The forward expansion from the
+/// leaves is bounded by \p max_divisors.
 std::vector<std::uint32_t> collect_divisors(const Aig& g, std::uint32_t root,
                                             const std::vector<std::uint32_t>& leaves,
+                                            const std::vector<std::uint32_t>& mffc,
                                             const FanoutIndex& fanouts,
                                             int max_divisors);
 

@@ -16,7 +16,7 @@ aig::Aig refactor(const aig::Aig& g, const RefactorParams& params) {
   for (std::uint32_t n : g.live_ands()) {
     auto leaves = aig::reconv_cut(g, n, params.max_leaves);
     std::sort(leaves.begin(), leaves.end());
-    const int freed = mffc_size_bounded(g, n, leaves);
+    const int freed = static_cast<int>(aig::mffc_bounded(g, n, leaves).size());
     if (freed < params.min_mffc) continue;
 
     const tt::TruthTable func =

@@ -1,7 +1,5 @@
 #include "synth/replace.h"
 
-#include <unordered_set>
-
 #include "synth/builder.h"
 #include "synth/resyn.h"
 
@@ -15,37 +13,6 @@ int count_new_nodes(const aig::Aig& g, const tt::TruthTable& func,
   for (std::uint32_t l : leaves) leaf_lits.push_back(aig::Lit::make(l, false));
   (void)synth_func(b, func, leaf_lits);
   return b.new_nodes();
-}
-
-int mffc_size_bounded(const aig::Aig& g, std::uint32_t root,
-                      std::span<const std::uint32_t> boundary) {
-  if (!g.is_and(root)) return 0;
-  // Boundary and MFFC sets are tiny; linear scans avoid per-call hashing.
-  std::vector<std::pair<std::uint32_t, std::uint32_t>> deref;
-  const auto bump = [&deref](std::uint32_t node) -> std::uint32_t& {
-    for (auto& [id, count] : deref)
-      if (id == node) return count;
-    deref.emplace_back(node, 0u);
-    return deref.back().second;
-  };
-  const auto in_boundary = [boundary](std::uint32_t node) {
-    for (std::uint32_t b : boundary)
-      if (b == node) return true;
-    return false;
-  };
-  int size = 0;
-  std::vector<std::uint32_t> stack{root};
-  while (!stack.empty()) {
-    const std::uint32_t cur = stack.back();
-    stack.pop_back();
-    ++size;
-    for (aig::Lit f : {g.fanin0(cur), g.fanin1(cur)}) {
-      const std::uint32_t child = f.node();
-      if (!g.is_and(child) || in_boundary(child)) continue;
-      if (++bump(child) == g.fanout_count(child)) stack.push_back(child);
-    }
-  }
-  return size;
 }
 
 namespace {

@@ -38,12 +38,6 @@ struct Replacement {
 int count_new_nodes(const aig::Aig& g, const tt::TruthTable& func,
                     std::span<const std::uint32_t> leaves);
 
-/// MFFC size of \p root with the deref walk stopped at \p boundary nodes
-/// (they stay alive as inputs of the replacement). This is the number of
-/// nodes actually freed when root is replaced by a structure over boundary.
-int mffc_size_bounded(const aig::Aig& g, std::uint32_t root,
-                      std::span<const std::uint32_t> boundary);
-
 /// Rebuilds \p g with all \p replacements applied; PO-driven, strashed.
 aig::Aig apply_replacements(
     const aig::Aig& g,

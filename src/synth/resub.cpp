@@ -35,7 +35,8 @@ tt::TruthTable to_tt(std::uint64_t bits, int k) {
 }  // namespace
 
 aig::Aig resub(const aig::Aig& g, const ResubParams& params) {
-  const int max_leaves = std::min(params.max_leaves, 6);
+  // Single-word truth tables cap the window at 6 leaves.
+  CSAT_CHECK(params.max_leaves >= 2 && params.max_leaves <= 6);
   const aig::FanoutIndex fanouts(g);
   std::unordered_map<std::uint32_t, Replacement> accepted;
 
@@ -45,16 +46,17 @@ aig::Aig resub(const aig::Aig& g, const ResubParams& params) {
   std::uint32_t generation = 0;
 
   for (std::uint32_t n : g.live_ands()) {
-    const int mffc = g.mffc_size(n);
-    if (mffc < 1) continue;
-    auto leaves = aig::reconv_cut(g, n, max_leaves);
+    auto leaves = aig::reconv_cut(g, n, params.max_leaves);
     std::sort(leaves.begin(), leaves.end());
     const int k = static_cast<int>(leaves.size());
-    if (k > 6) continue;
     const std::uint64_t mask = full_mask(k);
 
-    const auto divisors =
-        aig::collect_divisors(g, n, leaves, fanouts, params.max_divisors);
+    // The nodes freed when n is replaced over the window: they are the gain
+    // and can never be divisors.
+    const auto mffc_nodes = aig::mffc_bounded(g, n, leaves);
+    const int mffc = static_cast<int>(mffc_nodes.size());
+    const auto divisors = aig::collect_divisors(g, n, leaves, mffc_nodes,
+                                                fanouts, params.max_divisors);
 
     // Window truth tables: leaves get projections; interior divisors AND
     // their fanins (construction guarantees fanins precede them); the root

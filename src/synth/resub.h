@@ -12,14 +12,16 @@
 ///   0-resub: an existing divisor (possibly complemented),
 ///   1-resub: a single AND/OR of two divisors (any input phases),
 ///   2-resub: a two-gate combination over three divisors (optional).
-/// Gain is freed-MFFC minus new nodes; replacements commit via one rebuild.
+/// Gain is the freed window MFFC (bounded at the leaves) minus new nodes;
+/// replacements commit via one rebuild.
 
 #include "aig/aig.h"
 
 namespace csat::synth {
 
 struct ResubParams {
-  int max_leaves = 8;
+  /// Window leaves, 2..6 (window truth tables are single 64-bit words).
+  int max_leaves = 6;
   int max_divisors = 48;
   /// Divisor-count cap for the cubic 2-resub stage (0 disables 2-resub).
   int max_divisors2 = 12;

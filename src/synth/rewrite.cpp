@@ -2,6 +2,7 @@
 
 #include <unordered_map>
 
+#include "aig/window.h"
 #include "cut/cut_enum.h"
 #include "synth/builder.h"
 #include "synth/replace.h"
@@ -51,7 +52,8 @@ aig::Aig rewrite(const aig::Aig& g, const RewriteParams& params) {
       if (c.size() < 2) continue;  // unit cut is the node itself
       // Cheap bound first: even a free replacement cannot beat best_gain
       // unless the bounded MFFC is larger.
-      const int freed = mffc_size_bounded(g, n, c.leaves);
+      const int freed =
+          static_cast<int>(aig::mffc_bounded(g, n, c.leaves).size());
       if (freed <= best_gain) continue;
       // Fast accept via the cached standalone size (a lower bound on gain:
       // sharing only shrinks the real structure); fall back to the exact

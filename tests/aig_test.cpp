@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <sstream>
 
 #include "aig/aig.h"
@@ -108,8 +109,11 @@ TEST(Aig, MffcOfChainIsWholeChain) {
   const Lit x = g.and2(a, b);
   const Lit y = g.and2(x, c);
   g.add_po(y);
-  EXPECT_EQ(g.mffc_size(y.node()), 2);
-  EXPECT_EQ(g.mffc_size(x.node()), 1);
+  const std::vector<std::uint32_t> pis{a.node(), b.node(), c.node()};
+  EXPECT_EQ(mffc_bounded(g, y.node(), pis),
+            (std::vector<std::uint32_t>{y.node(), x.node()}));
+  EXPECT_EQ(mffc_bounded(g, x.node(), pis),
+            std::vector<std::uint32_t>{x.node()});
 }
 
 TEST(Aig, MffcStopsAtSharedNodes) {
@@ -122,10 +126,10 @@ TEST(Aig, MffcStopsAtSharedNodes) {
   const Lit z = g.and2(x, !c);
   g.add_po(y);
   g.add_po(z);
-  EXPECT_EQ(g.mffc_size(y.node()), 1);  // x survives via z
-  const auto mffc = mffc_nodes(g, y.node());
-  EXPECT_EQ(mffc.size(), 1u);
-  EXPECT_EQ(mffc[0], y.node());
+  const std::vector<std::uint32_t> pis{a.node(), b.node(), c.node()};
+  // x survives via z.
+  EXPECT_EQ(mffc_bounded(g, y.node(), pis),
+            std::vector<std::uint32_t>{y.node()});
 }
 
 TEST(Window, ReconvCutIsACut) {
@@ -145,13 +149,55 @@ TEST(Window, DivisorsExcludeMffcAndStayBelowRoot) {
   const FanoutIndex fanouts(g);
   for (std::uint32_t n : g.live_ands()) {
     const auto leaves = reconv_cut(g, n, 6);
-    const auto mffc = mffc_nodes(g, n);
-    const auto divs = collect_divisors(g, n, leaves, fanouts, 50);
+    const auto mffc = mffc_bounded(g, n, leaves);
+    const auto divs = collect_divisors(g, n, leaves, mffc, fanouts, 50);
     for (std::uint32_t d : divs) {
       EXPECT_EQ(std::count(mffc.begin(), mffc.end(), d), 0);
       if (g.is_and(d)) { EXPECT_LT(g.level(d), g.level(n)); }
     }
   }
+}
+
+TEST(Window, MffcBoundedStaysInsideTheWindow) {
+  for (std::uint64_t seed : {3u, 11u, 29u}) {
+    const Aig g = random_aig(8, 150, seed, 4);
+    const FanoutIndex fanouts(g);
+    for (std::uint32_t n : g.live_ands()) {
+      const auto leaves = reconv_cut(g, n, 6);
+      const auto mffc = mffc_bounded(g, n, leaves);
+      ASSERT_FALSE(mffc.empty());
+      EXPECT_EQ(mffc.front(), n);
+      const auto cone = collect_cone(g, n, leaves);
+      for (std::uint32_t m : mffc) {
+        EXPECT_EQ(std::count(mffc.begin(), mffc.end(), m), 1);
+        EXPECT_TRUE(std::binary_search(cone.begin(), cone.end(), m));
+        EXPECT_EQ(std::count(leaves.begin(), leaves.end(), m), 0);
+      }
+      for (std::uint32_t d : collect_divisors(g, n, leaves, mffc, fanouts, 50))
+        EXPECT_EQ(std::count(mffc.begin(), mffc.end(), d), 0);
+    }
+  }
+}
+
+TEST(Window, MffcBoundedDoesNotFreeALeafInsideTheWholeMffc) {
+  // A single-fanout chain: every node lies in the root's whole-graph MFFC
+  // (the walk with no leaves), but a 2-leaf window stops at x3, which the
+  // replacement keeps as an input, so neither it nor the chain below it is
+  // freed.
+  Aig g;
+  Lit acc = g.add_pi();
+  std::vector<std::uint32_t> chain;
+  for (int i = 0; i < 4; ++i) {
+    acc = g.and2(acc, g.add_pi());
+    chain.push_back(acc.node());
+  }
+  const Lit root = g.and2(acc, g.add_pi());
+  g.add_po(root);
+  const auto leaves = reconv_cut(g, root.node(), 2);
+  ASSERT_EQ(std::count(leaves.begin(), leaves.end(), chain.back()), 1);
+  EXPECT_EQ(mffc_bounded(g, root.node(), {}).size(), chain.size() + 1);
+  EXPECT_EQ(mffc_bounded(g, root.node(), leaves),
+            std::vector<std::uint32_t>{root.node()});
 }
 
 TEST(Simulate, ConeTtMatchesEvaluation) {
