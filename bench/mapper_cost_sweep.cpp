@@ -85,15 +85,16 @@ int main(int argc, char** argv) {
       rl::FixedRecipePolicy policy(synth::compress2_recipe());
       Stopwatch watch;
       const auto p = core::Preprocessor(popt).run(inst.circuit, policy);
-      if (!p.trivially_sat && !p.trivially_unsat) {
+      if (!p.encoding_info.trivially_sat && !p.encoding_info.trivially_unsat) {
         sat::Limits limits;
         limits.max_conflicts = budget;
         const auto r =
-            sat::solve_cnf(p.cnf, sat::SolverConfig::kissat_like(), limits);
+            sat::solve_cnf(p.encoding_info.cnf, sat::SolverConfig::kissat_like(),
+                           limits);
         decisions += r.stats.decisions;
       }
       seconds += watch.seconds();
-      clauses += p.cnf.num_clauses();
+      clauses += p.encoding_info.cnf.num_clauses();
       luts += p.num_luts;
     }
     std::printf("%-22s %12llu %12zu %12zu %10.2f\n", v.name,

@@ -369,15 +369,13 @@ int run_smoke_circuit() {
   const auto suite = gen::make_suite(params);
 
   const sat::SolverConfig cnf_cfg = preset(0);
-  const sat::CircuitSolverConfig circ_cfg =
-      sat::CircuitSolverConfig::from_cnf(cnf_cfg);
 
   int failures = 0;
   int sat_count = 0, unsat_count = 0;
   double circuit_seconds = 0.0, cnf_seconds = 0.0;
   for (const gen::Instance& inst : suite) {
     Stopwatch circ_watch;
-    const auto circ = sat::solve_circuit(inst.circuit, circ_cfg);
+    const auto circ = sat::solve_circuit(inst.circuit, cnf_cfg);
     circuit_seconds += circ_watch.seconds();
 
     const auto enc = cnf::tseitin_encode(inst.circuit);
@@ -785,8 +783,6 @@ int run_json(const char* path, int repeats) {
       cfams[1].circuits.push_back(cnf::cnf_to_aig(cfams[1].formulas.back()));
     }
     const sat::SolverConfig cnf_cfg = preset(0);
-    const sat::CircuitSolverConfig circ_cfg =
-        sat::CircuitSolverConfig::from_cnf(cnf_cfg);
     bool cfirst = true;
     for (CircuitFamily& fam : cfams) {
       double circ_seconds = 0.0, cnf_seconds = 0.0;
@@ -798,7 +794,7 @@ int run_json(const char* path, int repeats) {
         cnf_conflicts = cnf_props = 0;
         for (std::size_t i = 0; i < fam.circuits.size(); ++i) {
           Stopwatch circ_watch;
-          const auto circ = sat::solve_circuit(fam.circuits[i], circ_cfg);
+          const auto circ = sat::solve_circuit(fam.circuits[i], cnf_cfg);
           circ_seconds += circ_watch.seconds();
           Stopwatch cnf_watch;
           const auto r = sat::solve_cnf(fam.formulas[i], cnf_cfg);

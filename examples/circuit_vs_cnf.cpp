@@ -71,8 +71,6 @@ int main(int argc, char** argv) {
   const std::vector<gen::Instance> suite = gen::make_suite(params);
 
   const sat::SolverConfig cnf_config = sat::SolverConfig::kissat_like();
-  const sat::CircuitSolverConfig circuit_config =
-      sat::CircuitSolverConfig::from_cnf(cnf_config);
 
   std::printf("%-28s %-8s %-8s %12s %12s %10s\n", "instance", "circuit",
               "cnf", "gate-props", "cnf-props", "frontier");
@@ -81,7 +79,7 @@ int main(int argc, char** argv) {
   for (const gen::Instance& inst : suite) {
     // Circuit backend: no CNF ever exists; the solver assigns AIG nodes.
     const sat::CircuitSolveResult circ =
-        sat::solve_circuit(inst.circuit, circuit_config);
+        sat::solve_circuit(inst.circuit, cnf_config);
 
     // CNF backend: Tseitin-encode, solve, decode the model back to PIs.
     const cnf::TseitinResult enc = cnf::tseitin_encode(inst.circuit);
@@ -130,7 +128,6 @@ int main(int argc, char** argv) {
     if (race) {
       sat::CircuitRaceOptions ropt;
       ropt.solver = cnf_config;
-      ropt.circuit = circuit_config;
       const sat::CircuitRaceResult r =
           sat::solve_circuit_race(inst.circuit, ropt);
       if (r.status != circ.status) {

@@ -87,7 +87,7 @@ int main(int argc, char** argv) {
                 p.ands_after, p.num_luts);
     for (auto op : p.recipe) std::printf(" %s", std::string(synth::to_string(op)).c_str());
     std::printf("\n");
-    out_cnf = p.cnf;
+    out_cnf = p.encoding_info.cnf;
   }
 
   if (cnf_simplify) {

@@ -47,10 +47,10 @@ void report(const char* name, const aig::Aig& instance,
 
   sat::Limits limits;
   limits.max_conflicts = 500000;
-  const auto r = sat::solve_cnf(p.cnf, sat::SolverConfig::kissat_like(), limits);
+  const auto r = sat::solve_cnf(p.encoding_info.cnf, sat::SolverConfig::kissat_like(), limits);
   std::printf("%-26s ands %5zu->%-5zu luts %5zu clauses %6zu  decisions %8llu  %s\n",
               name, p.ands_before, p.ands_after, p.num_luts,
-              p.cnf.num_clauses(),
+              p.encoding_info.cnf.num_clauses(),
               static_cast<unsigned long long>(r.stats.decisions),
               r.status == sat::Status::kSat     ? "SAT"
               : r.status == sat::Status::kUnsat ? "UNSAT"

@@ -51,11 +51,8 @@ class Simplifier {
   SimplifyResult run() {
     // Tracing starts here, not in the constructor: the original clauses are
     // the proof's premise set and must not appear as derivation steps.
-    // Proof mode implies unit propagation — a pending unit the formula no
-    // longer shows (its source clause died) would otherwise let a
-    // pure-literal step slip past the checker's RAT scan.
     tracing_ = params_.proof != nullptr;
-    if (params_.unit_propagation || tracing_) propagate_units();
+    propagate_units();
     for (int round = 0; round < params_.max_rounds && !unsat_ && !exhausted_;
          ++round) {
       // Pure-literal and BVE sweeps only look at variables whose
@@ -69,7 +66,7 @@ class Simplifier {
         for (std::uint32_t v : round_vars_) touched_flag_[v] = 0;
       }
       bool changed = false;
-      if (params_.unit_propagation || tracing_) changed |= propagate_units();
+      changed |= propagate_units();
       if (unsat_ || exhausted_) break;
       if (params_.pure_literals) changed |= eliminate_pures();
       if (params_.failed_literal_probing) changed |= probe();
@@ -393,7 +390,7 @@ class Simplifier {
         const bool b2 = probe_val_[m] != 0;
         if (b1 == b2) {
           fixes.push_back(Lit::make(m, !b1));
-        } else if (params_.equivalent_literals) {
+        } else {
           equivs_.emplace_back(m, Lit::make(v, !b1));
         }
       }

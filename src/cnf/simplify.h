@@ -43,16 +43,14 @@ class ProofTracer;  // sat/proof.h
 namespace csat::cnf {
 
 struct SimplifyParams {
-  bool unit_propagation = true;
   bool pure_literals = true;
   bool subsumption = true;
   bool variable_elimination = true;
   /// Failed-literal probing: assume each unassigned variable both ways and
-  /// BCP; conflicts fix literals, shared implications lift literals.
+  /// BCP; conflicts fix literals, shared implications lift literals, and
+  /// v≡w equivalences are harvested and the represented variable is
+  /// substituted away.
   bool failed_literal_probing = true;
-  /// Harvest v≡w equivalences from probing and substitute the represented
-  /// variable away. Only meaningful when failed_literal_probing is on.
-  bool equivalent_literals = true;
   /// Compact the output onto a dense variable range (dropping fixed,
   /// eliminated, substituted and unconstrained variables). When off, the
   /// output keeps the input variable space and fixed variables are

@@ -59,8 +59,7 @@ std::vector<bool> solve_circuit(const aig::Aig& circuit,
                  "are derived from implicit gate clauses the checker never "
                  "sees; use backend=single for checkable UNSAT");
   if (options.backend == SolveBackend::kCircuit) {
-    sat::CircuitSolver solver(
-        sat::CircuitSolverConfig::from_cnf(options.solver));
+    sat::CircuitSolver solver(options.solver);
     solver.load(circuit);
     result.status = solver.solve(options.limits);
     result.circuit_stats = solver.stats();
@@ -69,9 +68,7 @@ std::vector<bool> solve_circuit(const aig::Aig& circuit,
   }
   sat::CircuitRaceOptions ropt;
   ropt.solver = options.solver;
-  ropt.circuit = sat::CircuitSolverConfig::from_cnf(options.solver);
   ropt.limits = options.limits;
-  ropt.deterministic = options.portfolio_deterministic;
   auto r = sat::solve_circuit_race(circuit, ropt);
   result.status = r.status;
   result.circuit_stats = r.circuit_stats;
@@ -103,7 +100,6 @@ std::vector<bool> solve_cnf_backend(const cnf::Cnf& formula,
   }
   sat::PortfolioOptions popt = sat::make_portfolio_options(
       options.solver, options.portfolio_size, options.limits);
-  popt.deterministic = options.portfolio_deterministic;
   popt.sharing = options.portfolio_sharing;
   popt.proof = proof;  // non-null => solve_portfolio fails loudly
   auto r = sat::solve_portfolio(formula, popt);
@@ -238,15 +234,16 @@ PipelineResult solve_instance(const aig::Aig& instance,
   result.ands_before = p.ands_before;
   result.ands_after = p.ands_after;
   result.num_luts = p.num_luts;
-  result.cnf_vars = p.cnf.num_vars();
-  result.cnf_clauses = p.cnf.num_clauses();
+  const cnf::Cnf& formula = p.encoding_info.cnf;
+  result.cnf_vars = formula.num_vars();
+  result.cnf_clauses = formula.num_clauses();
 
-  if (p.trivially_sat) {
+  if (p.encoding_info.trivially_sat) {
     result.status = sat::Status::kSat;
     result.witness.assign(instance.num_pis(), false);
     return result;
   }
-  const auto model = solve_encoded(p.cnf, nullptr, options, solver, result);
+  const auto model = solve_encoded(formula, nullptr, options, solver, result);
   if (result.status == sat::Status::kSat)
     result.witness = lut::witness_from_model(p.netlist, p.encoding_info, model);
   return result;

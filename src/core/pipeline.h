@@ -70,10 +70,6 @@ struct PipelineOptions {
   /// Worker count for kPortfolio; configs come from sat::default_portfolio
   /// seeded by solver.seed with solver as the lead (index-0) config.
   std::size_t portfolio_size = 4;
-  /// Run the portfolio without first-finisher cancellation (reproducible
-  /// winner/stats at the cost of the losers' runtime; also disables clause
-  /// sharing).
-  bool portfolio_deterministic = false;
   /// Cross-worker learnt-clause sharing for kPortfolio (glue threshold,
   /// size cap, ring capacity; see sat/portfolio.h).
   sat::ClauseSharingOptions portfolio_sharing;

@@ -44,9 +44,6 @@ PreprocessResult Preprocessor::run(const aig::Aig& instance,
   watch.restart();
   result.encoding_info = lut::lut_to_cnf(mapped.netlist);
   result.netlist = std::move(mapped.netlist);
-  result.cnf = result.encoding_info.cnf;
-  result.trivially_sat = result.encoding_info.trivially_sat;
-  result.trivially_unsat = result.encoding_info.trivially_unsat;
   result.encoding_seconds = watch.seconds();
   return result;
 }

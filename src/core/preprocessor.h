@@ -40,14 +40,12 @@ struct PreprocessOptions {
 };
 
 struct PreprocessResult {
-  cnf::Cnf cnf;
   lut::LutNetwork netlist;
-  /// Map from netlist nodes to CNF variables (for witness extraction).
+  /// The CNF of the netlist, its trivially-SAT/UNSAT flags and the map from
+  /// netlist nodes to CNF variables (for witness extraction).
   lut::LutCnfResult encoding_info;
   /// The synthesis ops the policy actually executed (excluding `end`).
   std::vector<synth::SynthOp> recipe;
-  bool trivially_sat = false;
-  bool trivially_unsat = false;
 
   // Bookkeeping for the experiment tables.
   std::size_t ands_before = 0;

@@ -133,7 +133,7 @@ BuiltInstance build_from_aig(aig::Aig g, bool want_circuit) {
   return b;
 }
 
-BuiltInstance build_from_cnf(cnf::Cnf formula, bool want_circuit) {
+BuiltInstance build_from_formula(cnf::Cnf formula, bool want_circuit) {
   BuiltInstance b;
   b.key = mix64(cnf::structural_hash(formula) ^ kCnfDomain);
   b.witness_units = formula.num_vars();
@@ -273,10 +273,11 @@ BuiltInstance build_instance(const ServerRequest& request) {
   const bool want_circuit = is_circuit_backend(request.backend);
   switch (request.instance) {
     case ServerRequest::Instance::kInlineCnf:
-      return build_from_cnf(parse_inline_cnf(request.payload), want_circuit);
+      return build_from_formula(parse_inline_cnf(request.payload),
+                                want_circuit);
     case ServerRequest::Instance::kDimacsFile:
-      return build_from_cnf(cnf::read_dimacs_file(request.payload),
-                            want_circuit);
+      return build_from_formula(cnf::read_dimacs_file(request.payload),
+                                want_circuit);
     case ServerRequest::Instance::kAigerFile:
       return build_from_aig(aig::read_aiger_file(request.payload),
                             want_circuit);

@@ -5,7 +5,7 @@
 /// The CDCL kernel shared by the CNF solver (sat/solver.h) and the
 /// circuit-native solver (sat/circuit_solver.h).
 ///
-/// CdclKernel<Derived, Config, StatsT> is a CRTP base: every hook it calls
+/// CdclKernel<Derived, StatsT> is a CRTP base: every hook it calls
 /// on the solver built on it is resolved at compile time, so the hot loops
 /// make no virtual call. It owns
 ///  * the assignment: literal values, per-variable level / reason / saved
@@ -94,7 +94,92 @@ struct Limits {
   std::uint64_t hard_memory_bytes = 0;
 };
 
-template <typename Derived, typename Config, typename StatsT>
+/// Tunable CDCL heuristics. A plain value object: cheap to copy, no
+/// ownership; each solver keeps its own copy at construction. Both solvers
+/// take it: the kernel reads the decay, reduction and Luby fields, and
+/// CircuitSolver also reads seed. The rest (EMA restarts, random decisions,
+/// default phase, chrono, vivification) is CNF-solver-only — the circuit
+/// arm keeps Luby restarts and skips chrono/vivification because its gate
+/// clauses are implicit (nothing to vivify) and the frontier bookkeeping
+/// assumes in-order trails.
+struct SolverConfig {
+  enum class Restarts { kLuby, kEma };
+
+  Restarts restarts = Restarts::kLuby;
+  /// Luby: restart after luby(i) * luby_unit conflicts.
+  std::uint32_t luby_unit = 64;
+  /// EMA (Glucose-style): restart when fast LBD average exceeds
+  /// ema_margin * slow average (and at least ema_min_conflicts since last).
+  double ema_fast_alpha = 1.0 / 32.0;
+  double ema_slow_alpha = 1.0 / 16384.0;
+  double ema_margin = 1.25;
+  std::uint32_t ema_min_conflicts = 50;
+
+  double var_decay = 0.95;
+  double clause_decay = 0.999;
+  bool default_phase = false;  // initial polarity when no saved phase
+  /// Probability of a random decision (diversification; 0 disables).
+  double random_decision_freq = 0.0;
+
+  /// Learnt-DB reduction: first reduction after reduce_first conflicts,
+  /// subsequent intervals grow by reduce_increment.
+  std::uint64_t reduce_first = 2000;
+  std::uint64_t reduce_increment = 300;
+  /// Learnt clauses with LBD <= glue_keep are never deleted.
+  std::uint32_t glue_keep = 2;
+
+  std::uint64_t seed = 91648253;
+
+  /// --- inprocessing levers (see sat/solver.h for semantics) ---
+  /// Chronological backtracking master switch. With chrono on, a restart
+  /// also reuses the trail: it backtracks only to the first decision the
+  /// restarted search would make differently (van der Tak et al.) instead
+  /// of to level 0, so the reused prefix is never re-propagated. Restarts
+  /// with inprocessing work pending (import, vivification) still go to
+  /// level 0.
+  bool chrono = true;
+  /// Backjumps deeper than this many levels below the conflict level are
+  /// truncated to a single-level backtrack (CaDiCaL's chronolevelim). The
+  /// default is deliberately above this suite's trail depths: measured on
+  /// bench/sat_micro, truncation that actually fires costs conflicts on
+  /// these shallow searches (see ROADMAP), so the default reserves it for
+  /// the deep-trail instances it was designed for while the restart-side
+  /// trail reuse carries the wins here.
+  std::uint32_t chrono_threshold = 500;
+  /// Clause vivification at restart boundaries.
+  bool vivify = true;
+  /// Conflicts between vivification passes.
+  std::uint64_t vivify_interval = 3000;
+  /// Per-pass propagation budget, as a permille share of the propagations
+  /// performed since the previous pass (floor 2000), so vivification effort
+  /// scales with search effort instead of dominating small solves.
+  std::uint32_t vivify_effort_permille = 50;
+  /// Also vivify irredundant (problem) clauses, shrinking the formula
+  /// itself. Off by default: learnt clauses pay off faster per propagation.
+  bool vivify_irredundant = false;
+
+  /// Stand-in for Kissat 4.0: aggressive EMA restarts, fast variable decay.
+  static SolverConfig kissat_like() {
+    SolverConfig c;
+    c.restarts = Restarts::kEma;
+    c.var_decay = 0.95;
+    c.reduce_first = 2000;
+    return c;
+  }
+
+  /// Stand-in for CaDiCaL 2.0: Luby restarts, slower decay, larger DB.
+  static SolverConfig cadical_like() {
+    SolverConfig c;
+    c.restarts = Restarts::kLuby;
+    c.luby_unit = 100;
+    c.var_decay = 0.99;
+    c.reduce_first = 4000;
+    c.reduce_increment = 600;
+    return c;
+  }
+};
+
+template <typename Derived, typename StatsT>
 class CdclKernel {
  protected:
   static constexpr std::uint8_t kFalse = 0;
@@ -159,7 +244,7 @@ class CdclKernel {
     std::uint64_t soft_reduce_at = 0;
   };
 
-  explicit CdclKernel(const Config& config) : config_(config) {}
+  explicit CdclKernel(const SolverConfig& config) : config_(config) {}
 
   Derived& self() { return static_cast<Derived&>(*this); }
 
@@ -902,7 +987,7 @@ class CdclKernel {
     proof_ = nullptr;
   }
 
-  Config config_;
+  SolverConfig config_;
   StatsT stats_;
   bool ok_ = true;  ///< false: root-level UNSAT established
 

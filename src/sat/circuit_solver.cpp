@@ -15,7 +15,7 @@
 
 namespace csat::sat {
 
-CircuitSolver::CircuitSolver(CircuitSolverConfig config) : Kernel(config) {}
+CircuitSolver::CircuitSolver(SolverConfig config) : Kernel(config) {}
 
 // ---------------------------------------------------------------------------
 // Loading
@@ -57,19 +57,17 @@ void CircuitSolver::load(const aig::Aig& g) {
   }
 
   // Phase initialization: majority vote over random-pattern signatures.
-  if (config_.simulate_phase_init && config_.phase_sim_words > 0 &&
-      !pi_nodes_.empty()) {
+  if (!pi_nodes_.empty()) {
     Rng rng(config_.seed);
     std::vector<std::uint64_t> pi_words(pi_nodes_.size());
     std::vector<std::uint32_t> ones(n, 0);
-    for (int w = 0; w < config_.phase_sim_words; ++w) {
+    for (int w = 0; w < kPhaseSimWords; ++w) {
       for (auto& word : pi_words) word = rng.next_u64();
       const std::vector<std::uint64_t> sim = aig::simulate_words(g, pi_words);
       for (std::size_t i = 0; i < n; ++i)
         ones[i] += static_cast<std::uint32_t>(std::popcount(sim[i]));
     }
-    const auto half =
-        static_cast<std::uint32_t>(config_.phase_sim_words) * 32u;
+    const std::uint32_t half = kPhaseSimWords * 32u;
     for (std::size_t i = 0; i < n; ++i)
       phase_[i] = ones[i] >= half ? kTrue : kFalse;
     phase_[0] = kFalse;
@@ -231,7 +229,7 @@ void CircuitSolver::backtrack(std::uint32_t target) {
   for (std::size_t i = trail_.size(); i-- > limit;) {
     const Lit l = trail_[i];
     const std::uint32_t v = l.var();
-    if (config_.phase_saving) phase_[v] = l.sign() ? kFalse : kTrue;
+    phase_[v] = l.sign() ? kFalse : kTrue;
     value_[l.x] = kUnknown;
     value_[l.x ^ 1u] = kUnknown;
     reason_[v] = Reason::none();
@@ -601,7 +599,7 @@ bool CircuitSolver::check_justification() {
 // ---------------------------------------------------------------------------
 
 CircuitSolveResult solve_circuit(const aig::Aig& g,
-                                 const CircuitSolverConfig& config,
+                                 const SolverConfig& config,
                                  const Limits& limits) {
   CircuitSolver solver(config);
   solver.load(g);

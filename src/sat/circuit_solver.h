@@ -52,7 +52,7 @@
 ///
 /// Phase initialization comes from aig/simulate random-pattern signatures:
 /// each node's saved phase starts as the majority value it takes under
-/// config.phase_sim_words * 64 random input patterns, so early decisions
+/// kPhaseSimWords * 64 random input patterns, so early decisions
 /// walk the circuit toward value combinations that random simulation says
 /// are feasible.
 ///
@@ -72,45 +72,6 @@
 #include "sat/solver.h"
 
 namespace csat::sat {
-
-/// Tunable heuristics of the circuit-native CDCL loop. Deliberately a
-/// subset of SolverConfig (the fields the shared kernel reads, plus phase
-/// initialization): the circuit arm keeps Luby restarts and skips
-/// chrono/vivification (gate clauses are implicit — there is nothing to
-/// vivify and the frontier bookkeeping assumes in-order trails).
-struct CircuitSolverConfig {
-  /// Restart after luby(i) * luby_unit conflicts.
-  std::uint32_t luby_unit = 64;
-  double var_decay = 0.95;
-  double clause_decay = 0.999;
-  bool phase_saving = true;
-  /// Learnt-DB reduction cadence (same semantics as SolverConfig).
-  std::uint64_t reduce_first = 2000;
-  std::uint64_t reduce_increment = 300;
-  std::uint32_t glue_keep = 2;
-  std::uint64_t seed = 91648253;
-  /// Seed saved phases from random-pattern simulation at load(); off makes
-  /// every phase start false (the CNF solver's default_phase analogue).
-  bool simulate_phase_init = true;
-  /// 64-bit pattern words per PI for the phase-init simulation.
-  int phase_sim_words = 4;
-
-  /// Maps the shared knobs of a CNF SolverConfig (seed, restarts cadence,
-  /// decay, reduction) onto a circuit config — the pipeline/server use this
-  /// so one --preset flag steers both arms.
-  static CircuitSolverConfig from_cnf(const SolverConfig& c) {
-    CircuitSolverConfig cc;
-    cc.luby_unit = c.luby_unit;
-    cc.var_decay = c.var_decay;
-    cc.clause_decay = c.clause_decay;
-    cc.phase_saving = c.phase_saving;
-    cc.reduce_first = c.reduce_first;
-    cc.reduce_increment = c.reduce_increment;
-    cc.glue_keep = c.glue_keep;
-    cc.seed = c.seed;
-    return cc;
-  }
-};
 
 /// Monotonic search counters, zeroed by reset()/load(). The circuit twin of
 /// sat::Stats, plus the gate-level counters sat_micro reports per backend.
@@ -148,9 +109,11 @@ struct CircuitStats {
 };
 
 class CircuitSolver
-    : private CdclKernel<CircuitSolver, CircuitSolverConfig, CircuitStats> {
+    : private CdclKernel<CircuitSolver, CircuitStats> {
  public:
-  explicit CircuitSolver(CircuitSolverConfig config = {});
+  /// Reads the kernel's fields of \p config plus its seed (see
+  /// SolverConfig); the CNF-only heuristics are ignored.
+  explicit CircuitSolver(SolverConfig config = {});
 
   /// Loads a CSAT instance ("some PO of g is 1"). Implies a full reset() of
   /// any previous problem and search state; the AIG itself is not retained
@@ -179,7 +142,7 @@ class CircuitSolver
   }
 
   [[nodiscard]] const CircuitStats& stats() const { return stats_; }
-  [[nodiscard]] const CircuitSolverConfig& config() const { return config_; }
+  [[nodiscard]] const SolverConfig& config() const { return config_; }
   [[nodiscard]] std::size_t num_nodes() const { return num_nodes_; }
 
   /// Current heap footprint in bytes (learnt-clause arena + watch lists +
@@ -206,7 +169,7 @@ class CircuitSolver
   [[nodiscard]] bool check_justification();
 
  private:
-  using Kernel = CdclKernel<CircuitSolver, CircuitSolverConfig, CircuitStats>;
+  using Kernel = CdclKernel<CircuitSolver, CircuitStats>;
   friend Kernel;
 
   /// Reason and conflict tags for the implicit gate clauses, inside the
@@ -219,6 +182,8 @@ class CircuitSolver
   static constexpr ClauseRef kGateC2 = 0xFFFFFFFCu;  ///< (!g, b)
   static constexpr ClauseRef kGateC3 = 0xFFFFFFFBu;  ///< (g, !a, !b)
   static_assert(kGateC3 >= kImplicitTagBase);
+  /// 64-bit pattern words per PI for the phase-init simulation at load().
+  static constexpr int kPhaseSimWords = 4;
 
   /// Activity-snapshot max-heap entry of the frontier candidates. Priority
   /// is the gate's activity at push time — stale priorities and stale
@@ -297,7 +262,7 @@ struct CircuitSolveResult {
   std::vector<std::uint8_t> node_values;   ///< per-node model (kSat)
 };
 CircuitSolveResult solve_circuit(const aig::Aig& g,
-                                 const CircuitSolverConfig& config = {},
+                                 const SolverConfig& config = {},
                                  const Limits& limits = {});
 
 }  // namespace csat::sat

@@ -46,6 +46,101 @@ PortfolioOptions make_portfolio_options(const SolverConfig& lead,
   return options;
 }
 
+namespace {
+
+/// Per-arm bookkeeping of one race; the arm bodies keep their own results.
+struct Race {
+  static constexpr std::size_t kNoWinner = PortfolioResult::kNoWinner;
+
+  /// kUnknown = cancelled, out of budget or faulted.
+  std::vector<Status> status;
+  std::vector<std::uint8_t> faulted;  ///< the arm died on an exception
+  std::vector<double> seconds;        ///< wall-clock time each arm ran
+  std::size_t winner = kNoWinner;     ///< the elected definitive arm
+};
+
+/// The race driver under solve_portfolio and solve_circuit_race. Runs
+/// body(i, limits) -> Status for every arm i < n, each on its own thread
+/// (inline when n == 1), and joins them all before returning.
+///
+/// Racing: the first definitive arm claims the win and cancels the others
+/// through a shared stop flag wired into the arms' Limits::terminate. The
+/// caller's own Limits::terminate keeps working: a watcher folds it into
+/// the stop flag. Deterministic: no cancellation (the caller's limits reach
+/// the arms untouched) and the lowest-index definitive arm wins, so the
+/// outcome is a pure function of the inputs.
+///
+/// Every arm body is exception-guarded: arms run on bare std::threads,
+/// where an escaped exception would std::terminate the process. An arm
+/// that throws (allocation failure, injected fault, solver defect) becomes
+/// a faulted kUnknown outcome and the race continues on the survivors.
+template <typename Body>
+Race run_race(std::size_t n, const Limits& limits, bool deterministic,
+              const char* what, const Body& body) {
+  Race race;
+  race.status.assign(n, Status::kUnknown);
+  race.faulted.assign(n, 0);
+  race.seconds.assign(n, 0.0);
+
+  std::atomic<bool> stop{false};
+  std::atomic<std::size_t> winner{Race::kNoWinner};
+  const std::atomic<bool>* external = limits.terminate;
+  std::thread watcher;
+  if (!deterministic && external != nullptr) {
+    watcher = std::thread([&] {
+      while (!stop.load(std::memory_order_relaxed)) {
+        if (external->load(std::memory_order_relaxed)) {
+          stop.store(true);
+          break;
+        }
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      }
+    });
+  }
+  Limits arm_limits = limits;
+  if (!deterministic) arm_limits.terminate = &stop;
+
+  auto run_arm = [&](std::size_t i) {
+    Stopwatch watch;
+    try {
+      fault::maybe_throw(fault::Point::kWorkerThrow, what);
+      race.status[i] = body(i, arm_limits);
+      std::size_t expected = Race::kNoWinner;
+      if (!deterministic && race.status[i] != Status::kUnknown &&
+          winner.compare_exchange_strong(expected, i))
+        stop.store(true);
+    } catch (...) {
+      race.status[i] = Status::kUnknown;
+      race.faulted[i] = 1;
+    }
+    race.seconds[i] = watch.seconds();
+  };
+
+  if (n == 1) {
+    run_arm(0);
+  } else {
+    std::vector<std::thread> threads;
+    threads.reserve(n);
+    for (std::size_t i = 0; i < n; ++i) threads.emplace_back(run_arm, i);
+    for (auto& t : threads) t.join();
+  }
+  stop.store(true);  // release the watcher when no arm ever finished
+  if (watcher.joinable()) watcher.join();
+
+  race.winner = winner.load();
+  if (deterministic) {
+    for (std::size_t i = 0; i < n; ++i) {
+      if (race.status[i] != Status::kUnknown) {
+        race.winner = i;
+        break;
+      }
+    }
+  }
+  return race;
+}
+
+}  // namespace
+
 PortfolioResult solve_portfolio(const Cnf& formula,
                                 const PortfolioOptions& options) {
   const std::vector<SolverConfig> configs =
@@ -63,11 +158,6 @@ PortfolioResult solve_portfolio(const Cnf& formula,
   PortfolioResult result;
   result.workers.resize(n);
   Stopwatch total;
-
-  std::atomic<bool> stop{false};
-  // Winner election: first definitive finisher claims the slot; in
-  // deterministic mode the race is replaced by a lowest-index scan below.
-  std::atomic<std::size_t> winner{PortfolioResult::kNoWinner};
   std::vector<std::vector<bool>> models(n);
 
   // Clause sharing needs a second worker to talk to, and deterministic
@@ -82,87 +172,24 @@ PortfolioResult solve_portfolio(const Cnf& formula,
                      std::max<std::uint32_t>(1, options.sharing.max_size));
   }
 
-  // Caller-supplied cancellation must keep working even though the workers'
-  // terminate slot is taken by the internal stop flag: a watcher folds the
-  // external flag into stop. (Deterministic mode passes limits through
-  // untouched, so the external flag reaches the workers directly.)
-  const std::atomic<bool>* external = options.limits.terminate;
-  std::thread watcher;
-  if (!options.deterministic && external != nullptr) {
-    watcher = std::thread([&] {
-      while (!stop.load(std::memory_order_relaxed)) {
-        if (external->load(std::memory_order_relaxed)) {
-          stop.store(true);
-          break;
-        }
-        std::this_thread::sleep_for(std::chrono::milliseconds(1));
-      }
-    });
-  }
+  const Race race = run_race(
+      n, options.limits, options.deterministic, "portfolio worker",
+      [&](std::size_t i, const Limits& limits) {
+        Solver solver(configs[i]);
+        solver.add_formula(formula);
+        if (share) solver.connect_exchange(&*exchange, i, options.sharing);
+        const Status status = solver.solve(limits);
+        result.workers[i].stats = solver.stats();
+        if (status == Status::kSat) models[i] = solver.model();
+        return status;
+      });
 
-  auto run_worker = [&](std::size_t i) {
-    // The whole body is exception-guarded: workers run on bare std::threads,
-    // where an escaped exception would std::terminate the process. A worker
-    // that throws (allocation failure, injected fault, solver defect)
-    // records a faulted kUnknown outcome and the race continues on the
-    // survivors.
-    Stopwatch watch;
-    try {
-      fault::maybe_throw(fault::Point::kWorkerThrow, "portfolio worker");
-      Solver solver(configs[i]);
-      solver.add_formula(formula);
-      if (share) {
-        SharingLimits limits_for_worker;
-        limits_for_worker.max_lbd = options.sharing.max_lbd;
-        limits_for_worker.max_size = options.sharing.max_size;
-        limits_for_worker.adaptive = options.sharing.adaptive;
-        limits_for_worker.adaptive_min_lbd = options.sharing.adaptive_min_lbd;
-        limits_for_worker.adaptive_max_lbd = options.sharing.adaptive_max_lbd;
-        limits_for_worker.import_at_fixpoint =
-            options.sharing.import_at_fixpoint;
-        solver.connect_exchange(&*exchange, i, limits_for_worker);
-      }
-      Limits limits = options.limits;
-      if (!options.deterministic) limits.terminate = &stop;
-      const Status status = solver.solve(limits);
-      result.workers[i].status = status;
-      result.workers[i].stats = solver.stats();
-      result.workers[i].seconds = watch.seconds();
-      if (status == Status::kUnknown) return;
-      if (status == Status::kSat) models[i] = solver.model();
-      std::size_t expected = PortfolioResult::kNoWinner;
-      if (winner.compare_exchange_strong(expected, i)) stop.store(true);
-    } catch (...) {
-      result.workers[i].status = Status::kUnknown;
-      result.workers[i].faulted = true;
-      result.workers[i].seconds = watch.seconds();
-    }
-  };
-
-  if (n == 1) {
-    run_worker(0);
-  } else {
-    std::vector<std::thread> threads;
-    threads.reserve(n);
-    for (std::size_t i = 0; i < n; ++i) threads.emplace_back(run_worker, i);
-    for (auto& t : threads) t.join();
-  }
-
-  stop.store(true);  // release the watcher when no worker ever finished
-  if (watcher.joinable()) watcher.join();
-
-  std::size_t win = winner.load();
-  if (options.deterministic) {
-    win = PortfolioResult::kNoWinner;
-    for (std::size_t i = 0; i < n; ++i) {
-      if (result.workers[i].status != Status::kUnknown) {
-        win = i;
-        break;
-      }
-    }
-  }
   result.seconds = total.seconds();
-  for (const WorkerOutcome& w : result.workers) {
+  for (std::size_t i = 0; i < n; ++i) {
+    WorkerOutcome& w = result.workers[i];
+    w.status = race.status[i];
+    w.faulted = race.faulted[i] != 0;
+    w.seconds = race.seconds[i];
     if (w.faulted) ++result.worker_faults;
     result.clauses_exported += w.stats.exported;
     result.clauses_imported += w.stats.imported;
@@ -171,7 +198,8 @@ PortfolioResult solve_portfolio(const Cnf& formula,
     result.total_watcher_relocations += w.stats.watcher_relocations;
     result.total_watch_bytes += w.stats.watch_bytes;
   }
-  if (win == PortfolioResult::kNoWinner) {
+  const std::size_t win = race.winner;
+  if (win == Race::kNoWinner) {
     // Budget exhausted with no verdict: report the lead worker's stats so
     // budgeted runs show real search effort, comparable to a single solve
     // of configs[0] under the same limits, instead of zeros.
@@ -196,153 +224,62 @@ PortfolioResult solve_portfolio(const Cnf& formula,
 
 namespace {
 
-/// The CNF arm of the circuit race, run to completion in the calling
-/// thread: Tseitin-encode, solve, project any model back onto the PIs.
-/// Fills cnf_status / cnf_stats / cnf_seconds and returns the PI witness
-/// (empty unless SAT).
-std::vector<bool> run_cnf_arm(const aig::Aig& g, const SolverConfig& config,
-                              const Limits& limits, CircuitRaceResult& out) {
-  Stopwatch watch;
+/// The CNF arm of the circuit race: Tseitin-encode, solve, project any
+/// model back onto the PIs (\p witness, left empty unless SAT).
+Status run_cnf_arm(const aig::Aig& g, const SolverConfig& config,
+                   const Limits& limits, Stats& stats,
+                   std::vector<bool>& witness) {
   const cnf::TseitinResult enc = cnf::tseitin_encode(g);
-  std::vector<bool> witness;
-  if (enc.trivially_unsat) {
-    out.cnf_status = Status::kUnsat;
-  } else if (enc.trivially_sat) {
+  if (enc.trivially_unsat) return Status::kUnsat;
+  if (enc.trivially_sat) {
     // Some PO is constant true: any PI assignment witnesses SAT.
-    out.cnf_status = Status::kSat;
     witness.assign(g.pis().size(), false);
-  } else {
-    Solver solver(config);
-    solver.add_formula(enc.cnf);
-    out.cnf_status = solver.solve(limits);
-    out.cnf_stats = solver.stats();
-    if (out.cnf_status == Status::kSat)
-      witness = cnf::witness_from_model(g, enc, solver.model());
+    return Status::kSat;
   }
-  out.cnf_seconds = watch.seconds();
-  return witness;
+  Solver solver(config);
+  solver.add_formula(enc.cnf);
+  const Status status = solver.solve(limits);
+  stats = solver.stats();
+  if (status == Status::kSat)
+    witness = cnf::witness_from_model(g, enc, solver.model());
+  return status;
 }
 
 }  // namespace
 
 CircuitRaceResult solve_circuit_race(const aig::Aig& g,
                                      const CircuitRaceOptions& options) {
+  using Arm = CircuitRaceResult::Arm;
+  constexpr auto kCircuit = static_cast<std::size_t>(Arm::kCircuit);
+  constexpr auto kCnf = static_cast<std::size_t>(Arm::kCnf);
   CircuitRaceResult result;
   Stopwatch total;
-  using Arm = CircuitRaceResult::Arm;
+  std::vector<bool> witnesses[2];
 
-  std::vector<bool> circuit_witness;
-  std::vector<bool> cnf_witness;
-
-  if (options.deterministic) {
-    // Sequential, no cancellation: both arms run to their own verdict or
-    // budget, and the circuit arm's verdict is preferred when definitive.
-    // Each arm is exception-guarded like the racing path so a crashed arm
-    // degrades to kUnknown instead of unwinding into the caller.
-    {
-      Stopwatch watch;
-      try {
-        fault::maybe_throw(fault::Point::kWorkerThrow, "circuit race arm");
-        CircuitSolver solver(options.circuit);
+  // The circuit arm is index 0, so deterministic mode prefers its verdict.
+  const Race race = run_race(
+      2, options.limits, options.deterministic, "circuit race arm",
+      [&](std::size_t arm, const Limits& limits) {
+        if (arm == kCnf)
+          return run_cnf_arm(g, options.solver, limits, result.cnf_stats,
+                             witnesses[kCnf]);
+        CircuitSolver solver(options.solver);
         solver.load(g);
-        result.circuit_status = solver.solve(options.limits);
+        const Status status = solver.solve(limits);
         result.circuit_stats = solver.stats();
-        if (result.circuit_status == Status::kSat)
-          circuit_witness = solver.witness();
-      } catch (...) {
-        result.circuit_status = Status::kUnknown;
-        ++result.arm_faults;
-      }
-      result.circuit_seconds = watch.seconds();
-    }
-    try {
-      fault::maybe_throw(fault::Point::kWorkerThrow, "cnf race arm");
-      cnf_witness = run_cnf_arm(g, options.solver, options.limits, result);
-    } catch (...) {
-      result.cnf_status = Status::kUnknown;
-      ++result.arm_faults;
-    }
-  } else {
-    std::atomic<bool> stop{false};
-    std::atomic<int> winner{-1};
-    // Caller cancellation: the arms' terminate slot is taken by the
-    // internal stop flag, so a watcher folds the external flag in (the
-    // same pattern as solve_portfolio).
-    const std::atomic<bool>* external = options.limits.terminate;
-    std::thread watcher;
-    if (external != nullptr) {
-      watcher = std::thread([&] {
-        while (!stop.load(std::memory_order_relaxed)) {
-          if (external->load(std::memory_order_relaxed)) {
-            stop.store(true);
-            break;
-          }
-          std::this_thread::sleep_for(std::chrono::milliseconds(1));
-        }
+        if (status == Status::kSat) witnesses[kCircuit] = solver.witness();
+        return status;
       });
-    }
-    Limits limits = options.limits;
-    limits.terminate = &stop;
 
-    auto claim = [&](Arm arm, Status status) {
-      if (status == Status::kUnknown) return;
-      int expected = -1;
-      if (winner.compare_exchange_strong(expected, static_cast<int>(arm)))
-        stop.store(true);
-    };
-
-    // Both arm bodies are exception-guarded: they run on bare std::threads,
-    // where an escaped exception would std::terminate the process. A
-    // crashed arm becomes a kUnknown verdict and the other arm keeps going.
-    std::atomic<std::uint64_t> arm_faults{0};
-    std::thread circuit_thread([&] {
-      Stopwatch watch;
-      try {
-        fault::maybe_throw(fault::Point::kWorkerThrow, "circuit race arm");
-        CircuitSolver solver(options.circuit);
-        solver.load(g);
-        result.circuit_status = solver.solve(limits);
-        result.circuit_stats = solver.stats();
-        if (result.circuit_status == Status::kSat)
-          circuit_witness = solver.witness();
-        claim(Arm::kCircuit, result.circuit_status);
-      } catch (...) {
-        result.circuit_status = Status::kUnknown;
-        arm_faults.fetch_add(1, std::memory_order_relaxed);
-      }
-      result.circuit_seconds = watch.seconds();
-    });
-    std::thread cnf_thread([&] {
-      try {
-        fault::maybe_throw(fault::Point::kWorkerThrow, "cnf race arm");
-        cnf_witness = run_cnf_arm(g, options.solver, limits, result);
-        claim(Arm::kCnf, result.cnf_status);
-      } catch (...) {
-        result.cnf_status = Status::kUnknown;
-        arm_faults.fetch_add(1, std::memory_order_relaxed);
-      }
-    });
-    circuit_thread.join();
-    cnf_thread.join();
-    stop.store(true);  // release the watcher when neither arm ever finished
-    if (watcher.joinable()) watcher.join();
-    result.arm_faults = arm_faults.load();
-    if (winner.load() >= 0) result.winner = static_cast<Arm>(winner.load());
-  }
-
-  // Deterministic mode (and the no-election edge) prefers the circuit arm.
-  if (result.winner == Arm::kNone) {
-    if (result.circuit_status != Status::kUnknown) {
-      result.winner = Arm::kCircuit;
-    } else if (result.cnf_status != Status::kUnknown) {
-      result.winner = Arm::kCnf;
-    }
-  }
-  if (result.winner != Arm::kNone) {
-    result.status = result.winner == Arm::kCircuit ? result.circuit_status
-                                                   : result.cnf_status;
-    result.witness = result.winner == Arm::kCircuit ? std::move(circuit_witness)
-                                                    : std::move(cnf_witness);
+  result.circuit_status = race.status[kCircuit];
+  result.cnf_status = race.status[kCnf];
+  result.circuit_seconds = race.seconds[kCircuit];
+  result.cnf_seconds = race.seconds[kCnf];
+  result.arm_faults = race.faulted[kCircuit] + race.faulted[kCnf];
+  if (race.winner != Race::kNoWinner) {
+    result.winner = static_cast<Arm>(race.winner);
+    result.status = race.status[race.winner];
+    result.witness = std::move(witnesses[race.winner]);
   }
   // Soundness: when both arms reach a verdict they must agree — the arms
   // decide the same question over different encodings.

@@ -32,32 +32,6 @@
 
 namespace csat::sat {
 
-struct ClauseSharingOptions {
-  /// Master switch. Even when true, sharing is suppressed for 1-worker
-  /// portfolios (nothing to share with) and in deterministic mode (import
-  /// timing depends on thread scheduling, which would break bit-for-bit
-  /// reproducibility; see PortfolioOptions::deterministic).
-  bool enabled = true;
-  /// Only learnt clauses with LBD <= max_lbd are exported ("glue" sharing).
-  std::uint32_t max_lbd = 2;
-  /// ... and with at most this many literals.
-  std::uint32_t max_size = 8;
-  /// Export ring slots; producers overwrite the oldest clause when a
-  /// consumer lags more than this many publications behind.
-  std::size_t ring_capacity = 1 << 12;
-  /// Per-worker adaptive glue export: each worker starts at max_lbd and
-  /// tightens/loosens its own LBD filter inside
-  /// [adaptive_min_lbd, adaptive_max_lbd] from the import_lost share it
-  /// observes while draining, so loose filters that would flood the ring
-  /// (the PR 2 failure mode) self-correct instead of degrading everyone.
-  bool adaptive = true;
-  std::uint32_t adaptive_min_lbd = 1;
-  std::uint32_t adaptive_max_lbd = 4;
-  /// Workers also drain the ring at decision-level-0 propagation fixpoints
-  /// between restarts, not just at restart boundaries.
-  bool import_at_fixpoint = true;
-};
-
 struct PortfolioOptions {
   /// Configurations to race; when empty, default_portfolio(num_workers,
   /// seed) is used.
@@ -164,21 +138,22 @@ struct PortfolioResult {
 // arm assigns Tseitin variables. A learnt clause from one arm is
 // meaningless to the other without a translation layer, so clause sharing
 // is structurally disabled here — the only cross-thread traffic is the
-// stop flag and the winner election.
+// stop flag and the winner election. Both races run on one driver (stop
+// flag, terminate watcher, winner election, per-arm fault guard and
+// deterministic mode); the circuit arm is its index 0.
 
 struct CircuitRaceOptions {
-  /// CNF arm: tseitin_encode(g) solved by the CDCL Solver.
+  /// Both arms: tseitin_encode(g) solved by the CDCL Solver, and
+  /// CircuitSolver running directly on the AIG (which reads the kernel's
+  /// fields and the seed of this config).
   SolverConfig solver;
-  /// Circuit arm: CircuitSolver running directly on the AIG. Callers that
-  /// want the arms to share tuning derive this with
-  /// CircuitSolverConfig::from_cnf(solver).
-  CircuitSolverConfig circuit;
   /// Per-arm budget. A caller-supplied Limits::terminate cancels the whole
   /// race (folded into the internal stop flag, as in solve_portfolio).
   Limits limits;
-  /// Run the arms sequentially (circuit first) with no cancellation and
-  /// report the circuit arm's verdict when definitive, else the CNF arm's.
-  /// Reproducible bit-for-bit; costs the loser's runtime.
+  /// Disable first-finisher cancellation: both arms run to their own
+  /// verdict or budget, and the circuit arm's verdict is reported when
+  /// definitive, else the CNF arm's. Reproducible bit-for-bit; costs the
+  /// loser's runtime.
   bool deterministic = false;
 };
 

@@ -66,7 +66,7 @@ void Solver::reset() {
   vivify_active_ = false;
   exchange_ = nullptr;
   exchange_id_ = 0;
-  sharing_ = SharingLimits{};
+  sharing_ = ClauseSharingOptions{};
   exchange_cursor_ = ClauseExchange::Cursor{};
   export_lbd_ = 0;
   adapt_lost_ = 0;
@@ -216,7 +216,7 @@ void Solver::backtrack(std::uint32_t target) {
     const Lit l = trail_[i];
     const std::uint32_t v = l.var();
     if (level_[v] > target) {
-      if (config_.phase_saving && !vivify_active_) phase_[v] = var_value(v);
+      if (!vivify_active_) phase_[v] = var_value(v);
       value_[v << 1] = kUnknown;
       value_[(v << 1) | 1] = kUnknown;
       reason_[v] = Reason::none();
@@ -566,7 +566,7 @@ std::uint32_t Solver::reusable_trail_level() {
 // --- clause sharing ----------------------------------------------------------
 
 void Solver::connect_exchange(ClauseExchange* exchange, std::size_t worker_id,
-                              SharingLimits sharing) {
+                              const ClauseSharingOptions& sharing) {
   CSAT_CHECK_MSG(exchange == nullptr || proof_ == nullptr,
                  "proof emission and clause sharing are mutually exclusive "
                  "(imported clauses are not RUP-derivable from this worker's "
@@ -776,8 +776,7 @@ Status Solver::search(const Limits& limits) {
       // with chrono on reuse the trail prefix the restarted search would
       // redo decision-for-decision.
       std::uint32_t reuse = 0;
-      if (config_.chrono && config_.restart_reuse_trail && !vivify_due &&
-          !has_pending_import()) {
+      if (config_.chrono && !vivify_due && !has_pending_import()) {
         reuse = reusable_trail_level();
       }
       backtrack(reuse);

@@ -37,7 +37,7 @@
 ///    with LBD and the protected glue tier re-stamped.
 ///  * Clause-exchange import at every decision-level-0 propagation
 ///    fixpoint (not just restarts), plus per-worker adaptive glue export
-///    thresholds driven by observed ring pressure (SharingLimits).
+///    thresholds driven by observed ring pressure (ClauseSharingOptions).
 ///
 /// Inprocessing phase ordering at a restart boundary:
 ///   restart backtrack(0) -> import fixpoint (import_clauses) -> vivify
@@ -80,87 +80,6 @@ using cnf::Cnf;
 /// Verdict of a solve: kUnknown means a budget/cancellation stopped the
 /// search, never that the formula is undecidable.
 enum class Status { kSat, kUnsat, kUnknown };
-
-/// Tunable CDCL heuristics. A plain value object: cheap to copy, no
-/// ownership; the solver keeps its own copy at construction.
-struct SolverConfig {
-  enum class Restarts { kLuby, kEma };
-
-  Restarts restarts = Restarts::kLuby;
-  /// Luby: restart after luby(i) * luby_unit conflicts.
-  std::uint32_t luby_unit = 64;
-  /// EMA (Glucose-style): restart when fast LBD average exceeds
-  /// ema_margin * slow average (and at least ema_min_conflicts since last).
-  double ema_fast_alpha = 1.0 / 32.0;
-  double ema_slow_alpha = 1.0 / 16384.0;
-  double ema_margin = 1.25;
-  std::uint32_t ema_min_conflicts = 50;
-
-  double var_decay = 0.95;
-  double clause_decay = 0.999;
-  bool phase_saving = true;
-  bool default_phase = false;  // initial polarity when no saved phase
-  /// Probability of a random decision (diversification; 0 disables).
-  double random_decision_freq = 0.0;
-
-  /// Learnt-DB reduction: first reduction after reduce_first conflicts,
-  /// subsequent intervals grow by reduce_increment.
-  std::uint64_t reduce_first = 2000;
-  std::uint64_t reduce_increment = 300;
-  /// Learnt clauses with LBD <= glue_keep are never deleted.
-  std::uint32_t glue_keep = 2;
-
-  std::uint64_t seed = 91648253;
-
-  /// --- inprocessing levers (see the file comment for semantics) ---
-  /// Chronological backtracking master switch.
-  bool chrono = true;
-  /// Backjumps deeper than this many levels below the conflict level are
-  /// truncated to a single-level backtrack (CaDiCaL's chronolevelim). The
-  /// default is deliberately above this suite's trail depths: measured on
-  /// bench/sat_micro, truncation that actually fires costs conflicts on
-  /// these shallow searches (see ROADMAP), so the default reserves it for
-  /// the deep-trail instances it was designed for while the restart-side
-  /// trail reuse carries the wins here.
-  std::uint32_t chrono_threshold = 500;
-  /// Restart trail reuse (needs chrono's out-of-order bookkeeping): a
-  /// restart backtracks only to the first decision the restarted search
-  /// would make differently (van der Tak et al.) instead of to level 0, so
-  /// the reused prefix is never re-propagated. Restarts with inprocessing
-  /// work pending (import, vivification) still go to level 0.
-  bool restart_reuse_trail = true;
-  /// Clause vivification at restart boundaries.
-  bool vivify = true;
-  /// Conflicts between vivification passes.
-  std::uint64_t vivify_interval = 3000;
-  /// Per-pass propagation budget, as a permille share of the propagations
-  /// performed since the previous pass (floor 2000), so vivification effort
-  /// scales with search effort instead of dominating small solves.
-  std::uint32_t vivify_effort_permille = 50;
-  /// Also vivify irredundant (problem) clauses, shrinking the formula
-  /// itself. Off by default: learnt clauses pay off faster per propagation.
-  bool vivify_irredundant = false;
-
-  /// Stand-in for Kissat 4.0: aggressive EMA restarts, fast variable decay.
-  static SolverConfig kissat_like() {
-    SolverConfig c;
-    c.restarts = Restarts::kEma;
-    c.var_decay = 0.95;
-    c.reduce_first = 2000;
-    return c;
-  }
-
-  /// Stand-in for CaDiCaL 2.0: Luby restarts, slower decay, larger DB.
-  static SolverConfig cadical_like() {
-    SolverConfig c;
-    c.restarts = Restarts::kLuby;
-    c.luby_unit = 100;
-    c.var_decay = 0.99;
-    c.reduce_first = 4000;
-    c.reduce_increment = 600;
-    return c;
-  }
-};
 
 /// Monotonic search counters. They accumulate across successive solve()
 /// calls on the same solver and are zeroed only by Solver::reset().
@@ -218,22 +137,33 @@ struct Stats {
   std::uint64_t memout_stops = 0;
 };
 
-/// Per-worker clause-sharing filter: only learnt clauses at most this glue
-/// and size are published to the exchange.
-struct SharingLimits {
+/// Clause-sharing knobs of a portfolio race (sat/portfolio.h): the race
+/// reads enabled and ring_capacity, each connected Solver the export filter
+/// and import cadence.
+struct ClauseSharingOptions {
+  /// Master switch. Even when true, sharing is suppressed for 1-worker
+  /// portfolios (nothing to share with) and in deterministic mode (import
+  /// timing depends on thread scheduling, which would break bit-for-bit
+  /// reproducibility; see PortfolioOptions::deterministic).
+  bool enabled = true;
+  /// Only learnt clauses with LBD <= max_lbd are exported ("glue" sharing).
   std::uint32_t max_lbd = 2;
+  /// ... and with at most this many literals.
   std::uint32_t max_size = 8;
-  /// Adaptive glue export: the worker starts at max_lbd and tightens or
-  /// loosens its own effective LBD filter inside
+  /// Export ring slots; producers overwrite the oldest clause when a
+  /// consumer lags more than this many publications behind.
+  std::size_t ring_capacity = 1 << 12;
+  /// Per-worker adaptive glue export: each worker starts at max_lbd and
+  /// tightens/loosens its own LBD filter inside
   /// [adaptive_min_lbd, adaptive_max_lbd] from the import_lost share it
-  /// observes while draining (ring pressure), so loose filters flooding the
-  /// ring self-correct instead of degrading every worker.
-  bool adaptive = false;
+  /// observes while draining, so loose filters that would flood the ring
+  /// self-correct instead of degrading everyone.
+  bool adaptive = true;
   std::uint32_t adaptive_min_lbd = 1;
   std::uint32_t adaptive_max_lbd = 4;
-  /// Drain the exchange at every decision-level-0 propagation fixpoint, not
-  /// only at restart boundaries: level-0 visits between restarts are cheap
-  /// import opportunities that shorten the foreign-clause latency.
+  /// Workers also drain the ring at decision-level-0 propagation fixpoints
+  /// between restarts, not just at restart boundaries: level-0 visits are
+  /// cheap import opportunities that shorten the foreign-clause latency.
   bool import_at_fixpoint = true;
 };
 
@@ -243,7 +173,7 @@ struct SharingLimits {
 /// Limits::terminate flag and a connected ClauseExchange (which is
 /// internally synchronized and must outlive the connection). The solver
 /// owns its entire clause database; Cnf inputs are copied in.
-class Solver : private CdclKernel<Solver, SolverConfig, Stats> {
+class Solver : private CdclKernel<Solver, Stats> {
  public:
   explicit Solver(SolverConfig config = {});
 
@@ -287,13 +217,14 @@ class Solver : private CdclKernel<Solver, SolverConfig, Stats> {
                         const Limits& limits = {});
 
   /// Connects this solver to a portfolio clause exchange as worker
-  /// \p worker_id. Learnt clauses passing \p sharing are published after
-  /// conflict analysis; foreign clauses are drained by import_clauses() at
-  /// restart boundaries (and at solve() entry). Pass nullptr to disconnect.
+  /// \p worker_id. Learnt clauses passing \p sharing's export filter are
+  /// published after conflict analysis; foreign clauses are drained by
+  /// import_clauses() at restart boundaries (and at solve() entry). Pass
+  /// nullptr to disconnect.
   /// Every clause moved either way is implied by the common input formula,
   /// so sharing never changes SAT/UNSAT verdicts — only search effort.
   void connect_exchange(ClauseExchange* exchange, std::size_t worker_id,
-                        SharingLimits sharing = {});
+                        const ClauseSharingOptions& sharing = {});
 
   /// Attaches a DRAT proof sink (sat/proof.h) or detaches it (nullptr).
   /// While attached, every learnt clause, vivification rewrite, learnt-DB
@@ -344,7 +275,7 @@ class Solver : private CdclKernel<Solver, SolverConfig, Stats> {
   }
 
  private:
-  using Kernel = CdclKernel<Solver, SolverConfig, Stats>;
+  using Kernel = CdclKernel<Solver, Stats>;
   friend Kernel;
 
   // --- propagation ---
@@ -462,7 +393,7 @@ class Solver : private CdclKernel<Solver, SolverConfig, Stats> {
   // clause-sharing state
   ClauseExchange* exchange_ = nullptr;
   std::size_t exchange_id_ = 0;
-  SharingLimits sharing_;
+  ClauseSharingOptions sharing_;
   ClauseExchange::Cursor exchange_cursor_;
   /// Effective export LBD filter: sharing_.max_lbd, moved inside the
   /// adaptive band by adapt_sharing() when sharing_.adaptive is set.

@@ -201,7 +201,7 @@ TEST(CircuitSolver, JustificationInvariantsHoldBetweenBudgetedSlices) {
   // Churn config: reduce the learnt DB every few dozen conflicts so slices
   // cross reduce_db()/collect_garbage() boundaries constantly, then assert
   // the full invariant walker between every slice.
-  sat::CircuitSolverConfig cfg;
+  sat::SolverConfig cfg;
   cfg.reduce_first = 40;
   cfg.reduce_increment = 10;
   const auto run_sliced = [&](const aig::Aig& g, const std::string& tag,
@@ -274,18 +274,6 @@ TEST(CircuitSolver, WarmResetMatchesFreshSolver) {
   // Explicit reset leaves a solvable empty state behind.
   pooled.reset();
   EXPECT_EQ(pooled.num_nodes(), 0u);
-}
-
-TEST(CircuitSolver, PhaseInitOffStaysCorrect) {
-  sat::CircuitSolverConfig cfg;
-  cfg.simulate_phase_init = false;
-  const aig::Aig g = gen::inject_bug(gen::make_adder_miter(6), 0xABCD);
-  const auto with = sat::solve_circuit(g);
-  const auto without = sat::solve_circuit(g, cfg);
-  EXPECT_EQ(with.status, without.status);
-  if (without.status == sat::Status::kSat) {
-    EXPECT_TRUE(some_po_true(g, without.witness));
-  }
 }
 
 TEST(CircuitSolver, StatsArePlausible) {

@@ -42,9 +42,9 @@ TEST(Preprocessor, RunsAlgorithmOneWithFixedPolicy) {
   const auto r = pre.run(inst, policy);
   EXPECT_EQ(r.recipe.size(), synth::compress2_recipe().size());
   EXPECT_GT(r.num_luts, 0u);
-  EXPECT_GT(r.cnf.num_clauses(), 0u);
+  EXPECT_GT(r.encoding_info.cnf.num_clauses(), 0u);
   // ISOP encoding accounting: clauses = total branching + goal unit.
-  EXPECT_EQ(static_cast<std::int64_t>(r.cnf.num_clauses()),
+  EXPECT_EQ(static_cast<std::int64_t>(r.encoding_info.cnf.num_clauses()),
             r.total_branching + 1);
 }
 

@@ -14,8 +14,11 @@
 #include <string>
 #include <vector>
 
+#include "cnf/tseitin.h"
 #include "common/fault.h"
 #include "core/solve_server.h"
+#include "gen/miter.h"
+#include "sat/portfolio.h"
 #include "sat/solver.h"
 
 namespace csat {
@@ -235,6 +238,45 @@ TEST(FaultSoak, AllocFailureIsIsolatedLikeAnyWorkerFault) {
 
   expect_server_healthy(h, "oom_health");
   h.server.stop();
+}
+
+TEST(FaultSoak, RaceArmsFaultToUnknown) {
+  // Every arm of both races throws at its kWorkerThrow site: the race
+  // driver's per-arm guard must turn each throw into a faulted kUnknown arm
+  // (arms run on bare std::threads, where an escape is std::terminate) and
+  // the race must report no winner instead of rethrowing.
+  const fault::Config saved = fault::current();
+  fault::Config config;
+  config.enabled = true;
+  config.seed = 13;
+  config.rate_permille = 1000;
+  config.mask = 1u << static_cast<std::uint32_t>(fault::Point::kWorkerThrow);
+  fault::configure(config);
+
+  const aig::Aig g = gen::make_adder_miter(4);
+  const cnf::Cnf formula = cnf::tseitin_encode(g).cnf;
+  sat::PortfolioOptions popt;
+  popt.num_workers = 3;
+  sat::PortfolioResult portfolio;
+  ASSERT_NO_THROW(portfolio = sat::solve_portfolio(formula, popt));
+  EXPECT_EQ(portfolio.status, sat::Status::kUnknown);
+  EXPECT_EQ(portfolio.winner, sat::PortfolioResult::kNoWinner);
+  EXPECT_EQ(portfolio.worker_faults, 3u);
+  for (const sat::WorkerOutcome& w : portfolio.workers) {
+    EXPECT_TRUE(w.faulted);
+    EXPECT_EQ(w.status, sat::Status::kUnknown);
+  }
+
+  sat::CircuitRaceResult race;
+  ASSERT_NO_THROW(race = sat::solve_circuit_race(g));
+  EXPECT_EQ(race.status, sat::Status::kUnknown);
+  EXPECT_EQ(race.winner, sat::CircuitRaceResult::Arm::kNone);
+  EXPECT_EQ(race.arm_faults, 2u);
+  EXPECT_EQ(race.circuit_status, sat::Status::kUnknown);
+  EXPECT_EQ(race.cnf_status, sat::Status::kUnknown);
+  EXPECT_EQ(fault::fired(fault::Point::kWorkerThrow), 5u);
+
+  fault::configure(saved);
 }
 
 // --- environment-driven lane ------------------------------------------------

@@ -399,8 +399,7 @@ TEST(FuzzDifferential, CircuitBackendAgreesAcrossGeneratedInstances) {
   // the AIG to a true PO and its full gate assignment must satisfy the
   // Tseitin encoding; the CNF model's extracted PI witness must drive the
   // AIG too.
-  const sat::CircuitSolverConfig circ_cfg =
-      sat::CircuitSolverConfig::from_cnf(sat::SolverConfig::kissat_like());
+  const sat::SolverConfig circ_cfg = sat::SolverConfig::kissat_like();
   int total = 0;
   int sat_count = 0;
   int unsat_count = 0;
@@ -451,7 +450,6 @@ TEST(FuzzDifferential, CircuitBackendAgreesAcrossGeneratedInstances) {
     }
 
     sat::CircuitRaceOptions ropt;
-    ropt.circuit = circ_cfg;
     const auto race = sat::solve_circuit_race(g, ropt);
     EXPECT_EQ(race.status, circ.status) << tag << " race verdict";
     if (race.status == sat::Status::kSat) {

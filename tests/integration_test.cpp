@@ -129,9 +129,9 @@ TEST(Integration, FileLevelRoundTrip) {
 
   rl::FixedRecipePolicy policy(synth::compress2_recipe());
   const auto p = core::Preprocessor().run(reread, policy);
-  cnf::write_dimacs_file(p.cnf, cnf_path);
+  cnf::write_dimacs_file(p.encoding_info.cnf, cnf_path);
   const auto formula = cnf::read_dimacs_file(cnf_path);
-  EXPECT_EQ(formula.num_clauses(), p.cnf.num_clauses());
+  EXPECT_EQ(formula.num_clauses(), p.encoding_info.cnf.num_clauses());
 
   const auto r = sat::solve_cnf(formula);
   EXPECT_EQ(r.status, sat::Status::kUnsat);  // commuted multipliers are equal
@@ -153,7 +153,8 @@ TEST(Integration, StatsFlowThroughAllPhases) {
   EXPECT_GT(p.mapping_seconds, 0.0);
   EXPECT_GE(p.encoding_seconds, 0.0);
   EXPECT_GT(p.ands_before, p.ands_after / 4);  // sanity, not a regression bound
-  EXPECT_EQ(static_cast<std::int64_t>(p.cnf.num_clauses()), p.total_branching + 1);
+  EXPECT_EQ(static_cast<std::int64_t>(p.encoding_info.cnf.num_clauses()),
+            p.total_branching + 1);
 }
 
 }  // namespace
