@@ -25,7 +25,9 @@
 // measuring raw search) runs the CNF preprocessor (cnf/simplify.h) before
 // every sequential solve. Independently of that flag, `--json` always
 // appends a measured simplify on/off comparison ("simplify" block) for the
-// adder_miter and random3sat families.
+// adder_miter and random3sat families and for serve_easy, 200 easy-regime
+// Tseitin CNFs (the solve server's scale); `simplify_ms` is the
+// preprocessor's own share of `on_ms`.
 //
 // `--proof=on|off` (default off) attaches a DRAT tracer to every
 // sequential solve — the proof text is formatted and discarded, so the
@@ -631,13 +633,18 @@ int run_json(const char* path, int repeats) {
       const char* name;
       std::vector<cnf::Cnf> instances;
     };
-    SimplifyFamily sfams[] = {{"adder_miter", {}}, {"random3sat", {}}};
+    // serve_easy is the solve server's scale: many small easy-regime
+    // Tseitin CNFs, where simplify costs about as much as the solve.
+    SimplifyFamily sfams[] = {
+        {"adder_miter", {}}, {"random3sat", {}}, {"serve_easy", {}}};
     for (int w : {16, 32, 48}) sfams[0].instances.push_back(adder_miter_cnf(w));
     for (int s = 0; s < 8; ++s)
       sfams[1].instances.push_back(random_3sat(170, 4.26, 1000 + s));
+    for (const gen::Instance& inst : gen::make_training_suite(200, 7))
+      sfams[2].instances.push_back(cnf::tseitin_encode(inst.circuit).cnf);
     bool sfirst = true;
     for (SimplifyFamily& fam : sfams) {
-      double off_seconds = 0.0, on_seconds = 0.0;
+      double off_seconds = 0.0, on_seconds = 0.0, simplify_seconds = 0.0;
       std::uint64_t vars_before = 0, vars_after = 0;
       std::uint64_t clauses_before = 0, clauses_after = 0;
       std::uint64_t fixed = 0, equivalent = 0, eliminated = 0, removed = 0;
@@ -652,6 +659,7 @@ int run_json(const char* path, int repeats) {
           off_seconds += off_watch.seconds();
           Stopwatch on_watch;
           const auto pre = cnf::simplify(f);
+          simplify_seconds += on_watch.seconds();
           const sat::Status on_status =
               pre.unsat ? sat::Status::kUnsat
                         : sat::solve_cnf(pre.cnf, cfg).status;
@@ -672,13 +680,13 @@ int run_json(const char* path, int repeats) {
       std::snprintf(
           line, sizeof(line),
           "    %s{\"family\": \"%s\", \"off_ms\": %.3f, \"on_ms\": %.3f, "
-          "\"vars_before\": %llu, \"vars_after\": %llu, "
+          "\"simplify_ms\": %.3f, \"vars_before\": %llu, \"vars_after\": %llu, "
           "\"clauses_before\": %llu, \"clauses_after\": %llu, "
           "\"fixed_literals\": %llu, \"equivalent_literals\": %llu, "
           "\"eliminated_vars\": %llu, \"removed_clauses\": %llu, "
           "\"verdicts_agree\": %s}",
           sfirst ? "" : ",", fam.name, off_seconds / repeats * 1e3,
-          on_seconds / repeats * 1e3,
+          on_seconds / repeats * 1e3, simplify_seconds / repeats * 1e3,
           static_cast<unsigned long long>(vars_before),
           static_cast<unsigned long long>(vars_after),
           static_cast<unsigned long long>(clauses_before),
@@ -692,9 +700,9 @@ int run_json(const char* path, int repeats) {
       out += '\n';
       sfirst = false;
       std::printf("json simplify %-12s off %8.1f ms  on %8.1f ms  "
-                  "%llu -> %llu clauses%s\n",
+                  "(simplify %6.1f ms)  %llu -> %llu clauses%s\n",
                   fam.name, off_seconds / repeats * 1e3,
-                  on_seconds / repeats * 1e3,
+                  on_seconds / repeats * 1e3, simplify_seconds / repeats * 1e3,
                   static_cast<unsigned long long>(clauses_before),
                   static_cast<unsigned long long>(clauses_after),
                   agree ? "" : "  VERDICT MISMATCH");

@@ -1,6 +1,7 @@
 #include "cnf/simplify.h"
 
 #include <algorithm>
+#include <iterator>
 #include <span>
 #include <utility>
 
@@ -12,14 +13,19 @@ namespace csat::cnf {
 
 namespace {
 
-/// Working clause: sorted literals + Bloom signature + liveness.
+/// Working clause: a sorted literal range [offset, offset + size) of the
+/// simplifier's one literal arena, plus a Bloom signature and liveness.
+/// Every rewrite the simplifier makes keeps a clause's size or shrinks it
+/// (unit removal, strengthening, equivalence substitution), so rewrites
+/// happen in place and a clause never moves.
 struct WorkClause {
-  std::vector<Lit> lits;
+  std::uint32_t offset = 0;
+  std::uint32_t size = 0;
   std::uint64_t signature = 0;
   bool alive = true;
 };
 
-std::uint64_t signature_of(const std::vector<Lit>& lits) {
+std::uint64_t signature_of(std::span<const Lit> lits) {
   std::uint64_t s = 0;
   for (Lit l : lits) s |= 1ULL << (l.var() & 63);
   return s;
@@ -34,6 +40,8 @@ struct OccList {
   std::uint32_t dirty = 0;
 };
 
+using Kind = SimplifyResult::Reconstruction::Kind;
+
 class Simplifier {
  public:
   Simplifier(const Cnf& formula, const SimplifyParams& params)
@@ -41,9 +49,21 @@ class Simplifier {
         num_vars_(formula.num_vars()),
         assign_(formula.num_vars(), -1),
         occ_(2 * static_cast<std::size_t>(formula.num_vars())),
+        lit_mark_(2 * static_cast<std::size_t>(formula.num_vars()), 0),
         touched_flag_(formula.num_vars(), 0),
-        probe_mark_(formula.num_vars(), 0),
-        probe_val_(formula.num_vars(), 0) {
+        probe_true_(2 * static_cast<std::size_t>(formula.num_vars()), 0) {
+    lits_.reserve(formula.num_literals());
+    clauses_.reserve(formula.num_clauses());
+    in_sub_queue_.reserve(formula.num_clauses());
+    sub_queue_.reserve(formula.num_clauses());
+    // Size every occurrence list once, from the input's literal counts
+    // (tallied in lit_mark_, which is zeroed again before any marking).
+    for (std::size_t i = 0; i < formula.num_clauses(); ++i)
+      for (Lit l : formula.clause(i)) ++lit_mark_[l.x];
+    for (std::size_t x = 0; x < occ_.size(); ++x) {
+      occ_[x].entries.reserve(lit_mark_[x]);
+      lit_mark_[x] = 0;
+    }
     for (std::size_t i = 0; i < formula.num_clauses(); ++i)
       if (!add_clause(formula.clause(i))) break;
   }
@@ -53,7 +73,7 @@ class Simplifier {
     // the proof's premise set and must not appear as derivation steps.
     tracing_ = params_.proof != nullptr;
     propagate_units();
-    for (int round = 0; round < params_.max_rounds && !unsat_ && !exhausted_;
+    for (int round = 0; round < params_.max_rounds && !unsat_ && !timed_out_;
          ++round) {
       // Pure-literal and BVE sweeps only look at variables whose
       // neighbourhood changed: everything in round 0, the touched set after.
@@ -67,7 +87,7 @@ class Simplifier {
       }
       bool changed = false;
       changed |= propagate_units();
-      if (unsat_ || exhausted_) break;
+      if (unsat_ || timed_out_) break;
       if (params_.pure_literals) changed |= eliminate_pures();
       if (params_.failed_literal_probing) changed |= probe();
       if (params_.subsumption) changed |= subsume();
@@ -79,22 +99,33 @@ class Simplifier {
 
  private:
   // --- budgets --------------------------------------------------------------
+  //
+  // Each budget stops only the techniques it meters: spent propagations
+  // stop probing, spent resolutions stop subsumption and BVE, and the wall
+  // clock stops everything. Pending units are drained regardless.
 
   void check_clock() {
     if (++clock_ticks_ % 4096 != 0) return;
-    if (watch_.seconds() > params_.max_seconds) exhausted_ = true;
+    if (watch_.seconds() > params_.max_seconds) timed_out_ = true;
   }
 
   void charge_props(std::uint64_t n) {
     stats_.propagations += n;
-    if (stats_.propagations > params_.max_propagations) exhausted_ = true;
+    if (stats_.propagations > params_.max_propagations) props_spent_ = true;
     check_clock();
   }
 
   void charge_res(std::uint64_t n) {
     stats_.resolutions += n;
-    if (stats_.resolutions > params_.max_resolutions) exhausted_ = true;
+    if (stats_.resolutions > params_.max_resolutions) res_spent_ = true;
     check_clock();
+  }
+
+  [[nodiscard]] bool probing_stopped() const {
+    return props_spent_ || timed_out_;
+  }
+  [[nodiscard]] bool resolution_stopped() const {
+    return res_spent_ || timed_out_;
   }
 
   // --- worklists ------------------------------------------------------------
@@ -138,75 +169,138 @@ class Simplifier {
     const Lit pair[2] = {a, b};
     proof_delete(pair);
   }
+  /// Keeps the pre-rewrite form of clause `idx` for the delete step that
+  /// follows the rewritten form's add.
+  void proof_snapshot(std::uint32_t idx) {
+    if (!tracing_) return;
+    const std::span<const Lit> old = lits(idx);
+    proof_old_.assign(old.begin(), old.end());
+  }
 
   // --- clause management ----------------------------------------------------
 
+  std::span<Lit> lits(std::uint32_t idx) {
+    const WorkClause& c = clauses_[idx];
+    return {lits_.data() + c.offset, c.size};
+  }
+
+  /// Normalizes `in` straight onto the arena's tail (a rejected clause is
+  /// popped off again). `in` must not point into the arena.
   bool add_clause(std::span<const Lit> in) {
-    std::vector<Lit> lits;
-    lits.reserve(in.size());
+    const std::size_t offset = lits_.size();
     for (Lit l : in) {
       const int v = assign_[l.var()];
-      if (v == static_cast<int>(!l.sign())) return true;    // satisfied
-      if (v == static_cast<int>(l.sign())) continue;        // falsified lit
-      lits.push_back(l);
+      if (v == static_cast<int>(!l.sign())) {  // satisfied
+        lits_.resize(offset);
+        return true;
+      }
+      if (v == static_cast<int>(l.sign())) continue;  // falsified lit
+      lits_.push_back(l);
     }
-    std::sort(lits.begin(), lits.end());
-    lits.erase(std::unique(lits.begin(), lits.end()), lits.end());
-    for (std::size_t i = 0; i + 1 < lits.size(); ++i)
-      if (lits[i] == !lits[i + 1]) return true;  // tautology
-    if (lits.empty()) {
+    const auto first = lits_.begin() + static_cast<std::ptrdiff_t>(offset);
+    std::sort(first, lits_.end());
+    lits_.erase(std::unique(first, lits_.end()), lits_.end());
+    const std::span<const Lit> added(lits_.data() + offset,
+                                     lits_.size() - offset);
+    for (std::size_t i = 0; i + 1 < added.size(); ++i)
+      if (added[i] == !added[i + 1]) {  // tautology
+        lits_.resize(offset);
+        return true;
+      }
+    if (added.empty()) {
       unsat_ = true;
       return false;
     }
-    if (lits.size() == 1) {
+    if (added.size() == 1) {
       // Emitted now, not when the pending unit is fixed: the only traced
       // caller is BVE, whose parent clauses (the RUP witnesses) are gone
       // by the time propagate_units runs.
-      proof_add(lits);
-      pending_units_.push_back(lits[0]);
+      proof_add(added);
+      pending_units_.push_back(added[0]);
+      lits_.resize(offset);
       return true;
     }
-    proof_add(lits);
+    CSAT_CHECK_MSG(lits_.size() <= std::numeric_limits<std::uint32_t>::max(),
+                   "simplify: literal arena exceeds 32-bit offsets");
+    proof_add(added);
     const auto idx = static_cast<std::uint32_t>(clauses_.size());
-    WorkClause wc;
-    wc.lits = std::move(lits);
-    wc.signature = signature_of(wc.lits);
-    for (Lit l : wc.lits) {
+    for (Lit l : added) {
       occ_[l.x].entries.push_back(idx);
       touch_var(l.var());
     }
-    clauses_.push_back(std::move(wc));
+    clauses_.push_back({static_cast<std::uint32_t>(offset),
+                        static_cast<std::uint32_t>(added.size()),
+                        signature_of(added), true});
     in_sub_queue_.push_back(0);
     enqueue_subsumption(idx);
     return true;
   }
 
   void kill_clause(std::uint32_t idx) {
-    if (!clauses_[idx].alive) return;
-    if (clauses_[idx].lits.size() >= 2) proof_delete(clauses_[idx].lits);
-    clauses_[idx].alive = false;
+    WorkClause& c = clauses_[idx];
+    if (!c.alive) return;
+    if (c.size >= 2) proof_delete(lits(idx));
+    c.alive = false;
     ++stats_.removed_clauses;
-    for (Lit l : clauses_[idx].lits) {
+    for (Lit l : lits(idx)) {
       ++occ_[l.x].dirty;
       touch_var(l.var());
     }
   }
 
+  /// Drops `l` from clause `idx` in place (the clause stays sorted).
+  void remove_literal(std::uint32_t idx, Lit l) {
+    const std::span<Lit> cl = lits(idx);
+    WorkClause& c = clauses_[idx];
+    c.size = static_cast<std::uint32_t>(std::remove(cl.begin(), cl.end(), l) -
+                                        cl.begin());
+    c.signature = signature_of(lits(idx));
+  }
+
   /// Exact live occurrences of `l`: entries whose clause is alive and still
   /// contains `l`. Compacts in place when stale entries have accumulated.
-  /// The returned reference is invalidated by add_clause/substitution (which
-  /// append entries); copy first when the loop body mutates clauses.
+  /// The returned list stays valid while clauses die or shrink (that only
+  /// bumps `dirty`); an append to it, or another occ() call on the same
+  /// literal (which may compact it), invalidates it.
   const std::vector<std::uint32_t>& occ(Lit l) {
     OccList& list = occ_[l.x];
     if (list.dirty > 0) {
       std::erase_if(list.entries, [&](std::uint32_t idx) {
-        const WorkClause& c = clauses_[idx];
-        return !c.alive ||
-               !std::binary_search(c.lits.begin(), c.lits.end(), l);
+        if (!clauses_[idx].alive) return true;
+        const std::span<const Lit> cl = lits(idx);
+        return !std::binary_search(cl.begin(), cl.end(), l);
       });
       list.dirty = 0;
     }
     return list.entries;
+  }
+
+  // --- literal marks --------------------------------------------------------
+
+  /// Marks the literals of clause `idx`, clearing every earlier mark.
+  void mark_clause(std::uint32_t idx) {
+    if (++mark_stamp_ == 0) {
+      std::fill(lit_mark_.begin(), lit_mark_.end(), 0);
+      mark_stamp_ = 1;
+    }
+    for (Lit l : lits(idx)) lit_mark_[l.x] = mark_stamp_;
+  }
+  [[nodiscard]] bool marked(Lit l) const {
+    return lit_mark_[l.x] == mark_stamp_;
+  }
+  /// True when every literal of clause `idx` is marked.
+  bool all_marked(std::uint32_t idx) {
+    for (Lit l : lits(idx))
+      if (!marked(l)) return false;
+    return true;
+  }
+  /// True when clause `idx` holds `n` marked literals (all of the marked
+  /// clause, when that clause has n literals).
+  bool holds_marked(std::uint32_t idx, std::uint32_t n) {
+    std::uint32_t hits = 0;
+    for (Lit l : lits(idx))
+      if (marked(l) && ++hits == n) return true;
+    return false;
   }
 
   // --- unit propagation -------------------------------------------------------
@@ -221,35 +315,33 @@ class Simplifier {
       return false;
     }
     assign_[v] = l.sign() ? 0 : 1;
-    stack_.push_back({SimplifyResult::Reconstruction::Kind::kFixed, v, l, {}});
+    stack_.push_back({Kind::kFixed, v, l});
     // The unit step itself. RUP for propagated and failed literals (the
     // deriving clauses are still present), RAT on l for pure literals (no
     // active clause contains !l). Both-phase probe lifts are covered by
     // helper binaries the probe loop emits just before calling here.
     proof_add1(l);
     // Satisfied clauses die; falsified literals shrink clauses.
-    scratch_ = occ(l);
-    charge_props(scratch_.size() + 1);
-    for (std::uint32_t idx : scratch_) kill_clause(idx);
-    scratch_ = occ(!l);
-    charge_props(scratch_.size() + 1);
-    for (std::uint32_t idx : scratch_) {
-      WorkClause& c = clauses_[idx];
-      if (!c.alive) continue;
-      if (tracing_) proof_old_ = c.lits;
-      c.lits.erase(std::remove(c.lits.begin(), c.lits.end(), !l), c.lits.end());
-      c.signature = signature_of(c.lits);
-      for (Lit m : c.lits) touch_var(m.var());
-      if (c.lits.empty()) {
+    const auto& satisfied = occ(l);
+    charge_props(satisfied.size() + 1);
+    for (std::uint32_t idx : satisfied) kill_clause(idx);
+    const auto& shrunk = occ(!l);
+    charge_props(shrunk.size() + 1);
+    for (std::uint32_t idx : shrunk) {
+      if (!clauses_[idx].alive) continue;
+      proof_snapshot(idx);
+      remove_literal(idx, !l);
+      for (Lit m : lits(idx)) touch_var(m.var());
+      if (clauses_[idx].size == 0) {
         unsat_ = true;
         return true;
       }
       // The shrunk clause is RUP against {old clause, unit l}; the old
       // form is deleted so a stale copy can't block a later RAT step.
-      proof_add(c.lits);
+      proof_add(lits(idx));
       proof_delete(proof_old_);
-      if (c.lits.size() == 1) {
-        pending_units_.push_back(c.lits[0]);
+      if (clauses_[idx].size == 1) {
+        pending_units_.push_back(lits(idx)[0]);
         kill_clause(idx);
       } else {
         enqueue_subsumption(idx);
@@ -285,7 +377,7 @@ class Simplifier {
   bool eliminate_pures() {
     bool changed = false;
     for (std::uint32_t v : round_vars_) {
-      if (unsat_ || exhausted_) break;
+      if (unsat_ || timed_out_) break;
       if (assign_[v] != -1) continue;
       const bool has_pos = !occ(Lit::make(v, false)).empty();
       const bool has_neg = !occ(Lit::make(v, true)).empty();
@@ -306,40 +398,36 @@ class Simplifier {
   /// otherwise `conflict` reports whether the assumption failed.
   bool bcp_probe(Lit root, bool& conflict) {
     conflict = false;
-    ++probe_stamp_;
+    const std::uint32_t stamp = ++probe_stamp_;
+    std::uint32_t* const is_true = probe_true_.data();
     probe_trail_.clear();
-    probe_mark_[root.var()] = probe_stamp_;
-    probe_val_[root.var()] = root.sign() ? 0 : 1;
+    is_true[root.x] = stamp;
     probe_trail_.push_back(root);
     for (std::size_t head = 0; head < probe_trail_.size(); ++head) {
       const Lit a = probe_trail_[head];
       const auto& watch = occ(!a);
       charge_props(watch.size() + 1);
-      if (exhausted_) return false;
+      if (probing_stopped()) return false;
       for (std::uint32_t idx : watch) {
-        const WorkClause& c = clauses_[idx];
-        bool satisfied = false;
+        // A true literal or a second unassigned one settles the clause: it
+        // implies nothing, which `unknown == 2` stands for.
         int unknown = 0;
         Lit unit{};
-        for (Lit l : c.lits) {
-          if (probe_mark_[l.var()] == probe_stamp_) {
-            if (probe_val_[l.var()] == static_cast<std::uint8_t>(!l.sign())) {
-              satisfied = true;
-              break;
-            }
-            continue;  // falsified literal
+        for (Lit l : lits(idx)) {
+          if (is_true[l.x] == stamp) {
+            unknown = 2;
+            break;
           }
-          ++unknown;
+          if (is_true[(!l).x] == stamp) continue;  // falsified
+          if (++unknown == 2) break;
           unit = l;
         }
-        if (satisfied) continue;
         if (unknown == 0) {
           conflict = true;
           return true;
         }
         if (unknown == 1) {
-          probe_mark_[unit.var()] = probe_stamp_;
-          probe_val_[unit.var()] = unit.sign() ? 0 : 1;
+          is_true[unit.x] = stamp;
           probe_trail_.push_back(unit);
         }
       }
@@ -349,8 +437,8 @@ class Simplifier {
 
   bool probe() {
     bool changed = false;
-    std::vector<Lit> fixes;
-    for (std::uint32_t v = 0; v < num_vars_ && !unsat_ && !exhausted_; ++v) {
+    for (std::uint32_t v = 0; v < num_vars_ && !unsat_ && !probing_stopped();
+         ++v) {
       if (assign_[v] != -1) continue;
       // Variables missing a phase are pure (or unconstrained), not worth
       // probing: assuming the absent phase propagates nothing.
@@ -383,13 +471,14 @@ class Simplifier {
       // Intersect the two implication sets. A variable assigned the same
       // value by both phases is fixed; opposite values mean equivalence
       // with the probed variable.
-      fixes.clear();
+      fixes_.clear();
       equivs_.clear();
       for (const auto& [m, b1] : pos_implied_) {
-        if (m == v || probe_mark_[m] != probe_stamp_) continue;
-        const bool b2 = probe_val_[m] != 0;
+        if (m == v) continue;
+        const bool b2 = probe_true_[Lit::make(m, false).x] == probe_stamp_;
+        if (!b2 && probe_true_[Lit::make(m, true).x] != probe_stamp_) continue;
         if (b1 == b2) {
-          fixes.push_back(Lit::make(m, !b1));
+          fixes_.push_back(Lit::make(m, !b1));
         } else {
           equivs_.emplace_back(m, Lit::make(v, !b1));
         }
@@ -398,9 +487,9 @@ class Simplifier {
         if (assign_[m] != -1 || assign_[rep.var()] != -1) continue;
         substitute_var(m, rep);
         changed = true;
-        if (unsat_ || exhausted_) break;
+        if (unsat_ || probing_stopped()) break;
       }
-      for (Lit f : fixes) {
+      for (Lit f : fixes_) {
         if (unsat_ || assign_[f.var()] != -1) continue;
         ++stats_.failed_literals;
         // f alone is not RUP (deriving it needs a case split on v), so
@@ -425,8 +514,7 @@ class Simplifier {
   /// equivalence is pushed on the reconstruction stack first, so replay
   /// recovers m's value from rep's.
   void substitute_var(std::uint32_t m, Lit rep) {
-    stack_.push_back(
-        {SimplifyResult::Reconstruction::Kind::kEquivalent, m, rep, {}});
+    stack_.push_back({Kind::kEquivalent, m, rep});
     ++stats_.equivalent_literals;
     // The two equivalence binaries (!m or rep) and (m or !rep). Each is RUP
     // via one phase of the probe trail that discovered the equivalence (the
@@ -439,29 +527,30 @@ class Simplifier {
     for (const bool sgn : {false, true}) {
       const Lit s = Lit::make(m, sgn);
       const Lit r = rep ^ sgn;
-      scratch_ = occ(s);
-      charge_props(scratch_.size() + 1);
-      for (std::uint32_t idx : scratch_) {
-        WorkClause& c = clauses_[idx];
-        if (!c.alive) continue;
-        if (std::binary_search(c.lits.begin(), c.lits.end(), !r)) {
+      // Only r's list (another variable's) gains entries below.
+      const auto& occurrences = occ(s);
+      charge_props(occurrences.size() + 1);
+      for (std::uint32_t idx : occurrences) {
+        if (!clauses_[idx].alive) continue;
+        const std::span<Lit> cl = lits(idx);
+        if (std::binary_search(cl.begin(), cl.end(), !r)) {
           kill_clause(idx);  // clause gains r alongside !r: tautology
           continue;
         }
-        const bool had_r =
-            std::binary_search(c.lits.begin(), c.lits.end(), r);
-        if (tracing_) proof_old_ = c.lits;
-        *std::find(c.lits.begin(), c.lits.end(), s) = r;
-        std::sort(c.lits.begin(), c.lits.end());
+        const bool had_r = std::binary_search(cl.begin(), cl.end(), r);
+        proof_snapshot(idx);
+        *std::find(cl.begin(), cl.end(), s) = r;
+        std::sort(cl.begin(), cl.end());
+        WorkClause& c = clauses_[idx];
         if (had_r)
-          c.lits.erase(std::unique(c.lits.begin(), c.lits.end()),
-                       c.lits.end());
-        c.signature = signature_of(c.lits);
-        proof_add(c.lits);
+          c.size = static_cast<std::uint32_t>(
+              std::unique(cl.begin(), cl.end()) - cl.begin());
+        c.signature = signature_of(lits(idx));
+        proof_add(lits(idx));
         proof_delete(proof_old_);
-        for (Lit l : c.lits) touch_var(l.var());
-        if (c.lits.size() == 1) {
-          pending_units_.push_back(c.lits[0]);
+        for (Lit l : lits(idx)) touch_var(l.var());
+        if (c.size == 1) {
+          pending_units_.push_back(lits(idx)[0]);
           kill_clause(idx);
           continue;
         }
@@ -479,33 +568,33 @@ class Simplifier {
   }
 
   // --- subsumption -------------------------------------------------------------
-
-  /// True when every literal of a occurs in b (both sorted).
-  static bool subset_of(const WorkClause& a, const WorkClause& b) {
-    if ((a.signature & ~b.signature) != 0) return false;
-    return std::includes(b.lits.begin(), b.lits.end(), a.lits.begin(),
-                         a.lits.end());
-  }
+  //
+  // The queued clause c is marked once; every candidate is then tested in
+  // one pass over its own literals. Nothing below grows the arena or the
+  // clause list, so c's literal range stays put while it is processed.
 
   bool subsume() {
     bool changed = false;
-    while (!sub_queue_.empty() && !unsat_ && !exhausted_) {
+    while (!sub_queue_.empty() && !unsat_ && !resolution_stopped()) {
       const std::uint32_t ci = sub_queue_.back();
       sub_queue_.pop_back();
       in_sub_queue_[ci] = 0;
       if (!clauses_[ci].alive) continue;
+      mark_clause(ci);
+      const std::uint32_t c_size = clauses_[ci].size;
+      const std::uint64_t c_sig = clauses_[ci].signature;
 
       // Backward: is c itself subsumed by an existing clause? Any subsumer
       // is made of c's literals, so scanning their occurrence lists finds it.
       {
-        const WorkClause& c = clauses_[ci];
         bool killed = false;
-        for (Lit l : c.lits) {
+        for (Lit l : lits(ci)) {
           for (std::uint32_t di : occ(l)) {
             if (di == ci) continue;
             const WorkClause& d = clauses_[di];
             charge_res(1);
-            if (d.lits.size() <= c.lits.size() && subset_of(d, c)) {
+            if (d.size <= c_size && (d.signature & ~c_sig) == 0 &&
+                all_marked(di)) {
               kill_clause(ci);
               ++stats_.subsumed_clauses;
               changed = true;
@@ -513,64 +602,55 @@ class Simplifier {
               break;
             }
           }
-          if (killed || exhausted_) break;
+          if (killed || resolution_stopped()) break;
         }
         if (killed) continue;
-        if (exhausted_) break;
+        if (resolution_stopped()) break;
       }
 
       // Forward: c subsumes supersets, found through the occurrence list of
       // its least-occurring literal.
-      Lit best = clauses_[ci].lits[0];
-      for (Lit l : clauses_[ci].lits)
+      Lit best = lits(ci)[0];
+      for (Lit l : lits(ci))
         if (occ_[l.x].entries.size() < occ_[best.x].entries.size()) best = l;
-      scratch_ = occ(best);
-      for (std::uint32_t di : scratch_) {
+      for (std::uint32_t di : occ(best)) {
         if (di == ci || !clauses_[di].alive) continue;
         charge_res(1);
-        if (clauses_[ci].lits.size() > clauses_[di].lits.size()) continue;
-        if (subset_of(clauses_[ci], clauses_[di])) {
+        const WorkClause& d = clauses_[di];
+        if (c_size > d.size) continue;
+        if ((c_sig & ~d.signature) == 0 && holds_marked(di, c_size)) {
           kill_clause(di);
           ++stats_.subsumed_clauses;
           changed = true;
         }
       }
-      if (exhausted_) break;
+      if (resolution_stopped()) break;
 
       // Self-subsuming resolution: c with one literal flipped subsumes d
-      // => remove the flipped literal from d.
-      const std::vector<Lit> base = clauses_[ci].lits;
-      for (Lit flip : base) {
-        if (!clauses_[ci].alive || unsat_ || exhausted_) break;
-        WorkClause probe;
-        probe.lits = base;
-        *std::find(probe.lits.begin(), probe.lits.end(), flip) = !flip;
-        std::sort(probe.lits.begin(), probe.lits.end());
-        probe.signature = signature_of(probe.lits);
-        scratch_ = occ(!flip);
-        for (std::uint32_t di : scratch_) {
+      // => remove the flipped literal from d. Flipping keeps c's signature.
+      for (std::uint32_t k = 0; k < c_size; ++k) {
+        if (!clauses_[ci].alive || unsat_ || resolution_stopped()) break;
+        const Lit flip = lits(ci)[k];
+        for (std::uint32_t di : occ(!flip)) {
           if (di == ci || !clauses_[di].alive) continue;
           charge_res(1);
-          if (probe.lits.size() > clauses_[di].lits.size()) continue;
-          if (!subset_of(probe, clauses_[di])) continue;
-          WorkClause& d = clauses_[di];
-          if (tracing_) proof_old_ = d.lits;
-          d.lits.erase(std::remove(d.lits.begin(), d.lits.end(), !flip),
-                       d.lits.end());
-          d.signature = signature_of(d.lits);
+          if (c_size > clauses_[di].size) continue;
+          if (!flipped_subset(di, flip, c_size, c_sig)) continue;
+          proof_snapshot(di);
+          remove_literal(di, !flip);
           // The strengthened clause is the resolvent of c and d on `flip`;
           // both parents are still present, so it is RUP.
-          proof_add(d.lits);
+          proof_add(lits(di));
           proof_delete(proof_old_);
           ++occ_[(!flip).x].dirty;
           ++stats_.strengthened_clauses;
-          for (Lit l : d.lits) touch_var(l.var());
+          for (Lit l : lits(di)) touch_var(l.var());
           touch_var(flip.var());
           changed = true;
-          if (d.lits.size() == 1) {
-            pending_units_.push_back(d.lits[0]);
+          if (clauses_[di].size == 1) {
+            pending_units_.push_back(lits(di)[0]);
             kill_clause(di);
-          } else if (d.lits.empty()) {
+          } else if (clauses_[di].size == 0) {
             unsat_ = true;
             break;
           } else {
@@ -584,64 +664,101 @@ class Simplifier {
     return changed;
   }
 
+  /// True when the marked clause c, with `flip` negated, is a subset of
+  /// clause `di`: d holds !flip and the other c_size - 1 marked literals.
+  /// (A d holding !flip cannot hold flip, so every marked hit counts.)
+  bool flipped_subset(std::uint32_t di, Lit flip, std::uint32_t c_size,
+                      std::uint64_t c_sig) {
+    if ((c_sig & ~clauses_[di].signature) != 0) return false;
+    bool has_flipped = false;
+    std::uint32_t hits = 0;
+    for (Lit l : lits(di)) {
+      if (l == !flip) {
+        has_flipped = true;
+      } else if (marked(l)) {
+        ++hits;
+      }
+    }
+    return has_flipped && hits + 1 == c_size;
+  }
+
   // --- bounded variable elimination ---------------------------------------------
+  //
+  // Count first, build later: the non-tautological resolvents are counted
+  // with the positive parent's literals marked, and are only built (one at
+  // a time, in one reused buffer) once the elimination is accepted.
+
+  /// True when the resolvent on v of the marked clause with clause `ni` is
+  /// a tautology, i.e. `ni` holds the negation of a marked literal.
+  bool resolvent_tautological(std::uint32_t ni, std::uint32_t v) {
+    for (Lit l : lits(ni))
+      if (l.var() != v && marked(!l)) return true;
+    return false;
+  }
+
+  /// Appends clause `idx` to the reconstruction literals, led by `pivot`.
+  void record_eliminated(std::uint32_t idx, Lit pivot) {
+    stack_lits_.push_back(pivot);
+    for (Lit l : lits(idx))
+      if (l != pivot) stack_lits_.push_back(l);
+  }
 
   bool eliminate_variables() {
     bool changed = false;
     for (std::uint32_t v : round_vars_) {
-      if (unsat_ || exhausted_) break;
+      if (unsat_ || resolution_stopped()) break;
       if (assign_[v] != -1) continue;
-      const std::vector<std::uint32_t> pos = occ(Lit::make(v, false));
-      const std::vector<std::uint32_t> neg = occ(Lit::make(v, true));
+      // Resolvents never mention v, so adding them below leaves these two
+      // lists untouched.
+      const auto& pos = occ(Lit::make(v, false));
+      const auto& neg = occ(Lit::make(v, true));
       if (pos.empty() && neg.empty()) continue;
       const int occurrences = static_cast<int>(pos.size() + neg.size());
       if (occurrences > params_.bve_occurrence_limit) continue;
 
-      // Build non-tautological resolvents.
-      std::vector<std::vector<Lit>> resolvents;
+      // Count non-tautological resolvents.
+      int resolvents = 0;
       bool too_many = false;
       for (std::uint32_t pi : pos) {
+        mark_clause(pi);
         for (std::uint32_t ni : neg) {
           charge_res(1);
-          std::vector<Lit> r;
-          bool taut = false;
-          for (Lit l : clauses_[pi].lits)
-            if (l.var() != v) r.push_back(l);
-          for (Lit l : clauses_[ni].lits) {
-            if (l.var() == v) continue;
-            r.push_back(l);
-          }
-          std::sort(r.begin(), r.end());
-          r.erase(std::unique(r.begin(), r.end()), r.end());
-          for (std::size_t i = 0; i + 1 < r.size(); ++i)
-            if (r[i] == !r[i + 1]) {
-              taut = true;
-              break;
-            }
-          if (!taut) resolvents.push_back(std::move(r));
-          if (static_cast<int>(resolvents.size()) > occurrences) {
+          if (!resolvent_tautological(ni, v) && ++resolvents > occurrences) {
             too_many = true;
             break;
           }
         }
         if (too_many) break;
       }
-      if (too_many || exhausted_) continue;
+      if (too_many || resolution_stopped()) continue;
 
       // Record the variable's clauses for model reconstruction, then swap
       // them for the resolvents (NiVER's non-increasing elimination).
-      SimplifyResult::Reconstruction rec;
-      rec.kind = SimplifyResult::Reconstruction::Kind::kEliminated;
-      rec.var = v;
-      for (std::uint32_t idx : pos) rec.clauses.push_back(clauses_[idx].lits);
-      for (std::uint32_t idx : neg) rec.clauses.push_back(clauses_[idx].lits);
-      stack_.push_back(std::move(rec));
+      const auto begin = static_cast<std::uint32_t>(stack_lits_.size());
+      for (std::uint32_t idx : pos) record_eliminated(idx, Lit::make(v, false));
+      for (std::uint32_t idx : neg) record_eliminated(idx, Lit::make(v, true));
+      stack_.push_back({Kind::kEliminated, v, Lit{}, begin,
+                        static_cast<std::uint32_t>(stack_lits_.size())});
       // Resolvents go in before the parents die: each resolvent's RUP
       // check in proof mode resolves against the still-present parents.
-      // (The final clause set is the same either way — resolvents never
-      // mention v, so the pos/neg snapshots stay exact.)
-      for (const auto& r : resolvents)
-        if (!add_clause(r)) break;
+      // add_clause may move the arena, so no span is held across it.
+      bool added = true;
+      for (std::uint32_t pi : pos) {
+        mark_clause(pi);
+        for (std::uint32_t ni : neg) {
+          if (resolvent_tautological(ni, v)) continue;
+          // Merged in order, so add_clause's normalization finds it sorted.
+          const std::span<const Lit> a = lits(pi);
+          const std::span<const Lit> b = lits(ni);
+          resolvent_.clear();
+          std::set_union(a.begin(), a.end(), b.begin(), b.end(),
+                         std::back_inserter(resolvent_));
+          std::erase_if(resolvent_, [v](Lit l) { return l.var() == v; });
+          added = add_clause(resolvent_);
+          if (!added) break;
+        }
+        if (!added) break;
+      }
       for (std::uint32_t idx : pos) kill_clause(idx);
       for (std::uint32_t idx : neg) kill_clause(idx);
       ++stats_.eliminated_vars;
@@ -658,8 +775,9 @@ class Simplifier {
     result.unsat = unsat_;
     result.original_vars = num_vars_;
     result.stack = std::move(stack_);
+    result.stack_lits = std::move(stack_lits_);
     result.var_map.assign(num_vars_, SimplifyResult::kUnmapped);
-    stats_.budget_exhausted = exhausted_;
+    stats_.budget_exhausted = props_spent_ || res_spent_ || timed_out_;
 
     if (unsat_) {
       // Cap the proof with the empty clause. Every unsat_ site has already
@@ -679,9 +797,9 @@ class Simplifier {
     // Variables that still appear in the output: live clauses plus any
     // units left pending (only possible when no technique ran).
     std::vector<bool> seen(num_vars_, false);
-    for (const WorkClause& c : clauses_)
-      if (c.alive)
-        for (Lit l : c.lits) seen[l.var()] = true;
+    for (std::uint32_t idx = 0; idx < clauses_.size(); ++idx)
+      if (clauses_[idx].alive)
+        for (Lit l : lits(idx)) seen[l.var()] = true;
     for (Lit l : pending_units_) seen[l.var()] = true;
 
     if (params_.remap_variables) {
@@ -693,10 +811,10 @@ class Simplifier {
       }
       result.cnf.add_vars(next);
       std::vector<Lit> mapped;
-      for (const WorkClause& c : clauses_) {
-        if (!c.alive) continue;
+      for (std::uint32_t idx = 0; idx < clauses_.size(); ++idx) {
+        if (!clauses_[idx].alive) continue;
         mapped.clear();
-        for (Lit l : c.lits)
+        for (Lit l : lits(idx))
           mapped.push_back(Lit::make(result.var_map[l.var()], l.sign()));
         result.cnf.add_clause(mapped);
       }
@@ -713,8 +831,8 @@ class Simplifier {
       for (std::uint32_t v = 0; v < num_vars_; ++v)
         if (assign_[v] != -1)
           result.cnf.add_unit(Lit::make(v, assign_[v] == 0));
-      for (const WorkClause& c : clauses_)
-        if (c.alive) result.cnf.add_clause(c.lits);
+      for (std::uint32_t idx = 0; idx < clauses_.size(); ++idx)
+        if (clauses_[idx].alive) result.cnf.add_clause(lits(idx));
       for (Lit l : pending_units_) result.cnf.add_unit(l);
     }
     stats_.seconds = watch_.seconds();
@@ -726,30 +844,37 @@ class Simplifier {
   std::uint32_t num_vars_;
   SimplifyStats stats_;
   bool unsat_ = false;
-  bool exhausted_ = false;
+  bool props_spent_ = false;    // max_propagations passed: probing stops
+  bool res_spent_ = false;      // max_resolutions passed: subsumption, BVE stop
+  bool timed_out_ = false;      // max_seconds passed: every technique stops
   bool tracing_ = false;        // params_.proof set and run() has started
   std::vector<Lit> proof_old_;  // pre-rewrite snapshot for add/delete pairs
   Stopwatch watch_;
   std::uint64_t clock_ticks_ = 0;
   std::vector<int> assign_;  // -1 unknown, 0 false, 1 true
+  std::vector<Lit> lits_;    // the literal arena every WorkClause points into
   std::vector<WorkClause> clauses_;
   std::vector<OccList> occ_;  // by literal
   std::vector<Lit> pending_units_;
   std::vector<SimplifyResult::Reconstruction> stack_;
+  std::vector<Lit> stack_lits_;  // kEliminated payloads (see simplify.h)
+  // Literal marks for subsumption and BVE (stamp-versioned, by literal).
+  std::uint32_t mark_stamp_ = 0;
+  std::vector<std::uint32_t> lit_mark_;
+  std::vector<Lit> resolvent_;  // BVE's one resolvent buffer
   // Worklists.
   std::vector<std::uint8_t> touched_flag_;
   std::vector<std::uint32_t> touched_;
   std::vector<std::uint32_t> round_vars_;
   std::vector<std::uint32_t> sub_queue_;
   std::vector<std::uint8_t> in_sub_queue_;
-  std::vector<std::uint32_t> scratch_;
   // Probing scratch (stamp-versioned so probes never pay an O(vars) reset).
   std::uint32_t probe_stamp_ = 0;
-  std::vector<std::uint32_t> probe_mark_;
-  std::vector<std::uint8_t> probe_val_;
+  std::vector<std::uint32_t> probe_true_;  // by literal: == stamp when true
   std::vector<Lit> probe_trail_;
   std::vector<std::pair<std::uint32_t, bool>> pos_implied_;
   std::vector<std::pair<std::uint32_t, Lit>> equivs_;
+  std::vector<Lit> fixes_;
 };
 
 }  // namespace
@@ -771,23 +896,19 @@ std::vector<bool> SimplifyResult::extend_model(std::vector<bool> model) const {
         full[it->var] = full[it->binding.var()] != it->binding.sign();
         break;
       case Reconstruction::Kind::kEliminated: {
+        // The entry's clauses lie back to back in stack_lits, each led by
+        // its literal on the eliminated variable.
         bool value = false;
         bool forced = false;
-        for (const auto& clause : it->clauses) {
+        const Lit* p = stack_lits.data() + it->begin;
+        const Lit* const end = stack_lits.data() + it->end;
+        while (p != end) {
+          const Lit pivot = *p++;
           bool satisfied_without_v = false;
-          Lit v_lit = Lit::make(it->var, false);
-          for (Lit l : clause) {
-            if (l.var() == it->var) {
-              v_lit = l;
-              continue;
-            }
-            if (full[l.var()] != l.sign()) {
-              satisfied_without_v = true;
-              break;
-            }
-          }
+          for (; p != end && p->var() != it->var; ++p)
+            satisfied_without_v |= full[p->var()] != p->sign();
           if (!satisfied_without_v) {
-            const bool needed = !v_lit.sign();
+            const bool needed = !pivot.sign();
             CSAT_CHECK_MSG(!forced || value == needed,
                            "simplify: inconsistent model reconstruction");
             value = needed;

@@ -27,8 +27,21 @@
 /// the simplified formula can be *extended* to a model of the original
 /// formula (SatELite-style reconstruction, replayed newest-first).
 ///
-/// All techniques are budgeted (propagation steps, resolution steps, wall
-/// clock) so the engine is safe to run by default on every solve path.
+/// Storage is flat and allocation-free in the steady state. Clauses are
+/// {offset, size, signature, alive} records over one literal arena; every
+/// rewrite keeps or shrinks a clause, so it is done in place. Subsumption
+/// marks the queued clause's literals once and tests each candidate
+/// against the marks. BVE counts the non-tautological resolvents with
+/// literal marks first and builds them, one at a time in a reused buffer,
+/// only once the elimination is accepted. An eliminated variable's clauses
+/// go onto one flat literal vector (SimplifyResult::stack_lits) that its
+/// stack entry points into.
+///
+/// All techniques are budgeted so the engine is safe to run by default on
+/// every solve path. Each budget stops only what it meters: spent
+/// propagations stop probing, spent resolutions stop subsumption and BVE,
+/// and the wall clock stops everything. Pending units are always drained,
+/// so a cut-short run still returns an equisatisfiable formula.
 
 #include <cstdint>
 #include <limits>
@@ -61,15 +74,17 @@ struct SimplifyParams {
   int bve_occurrence_limit = 16;
   /// Simplification rounds (each round runs all enabled techniques).
   int max_rounds = 3;
-  /// Budget on propagation steps (literal visits during unit propagation
-  /// and probing BCP). Deterministic; the engine stops cleanly when spent.
+  /// Budget on propagation steps (occurrence-list visits during unit
+  /// propagation, substitution and probing BCP). Deterministic; once spent,
+  /// probing stops and the other techniques carry on.
   std::uint64_t max_propagations = 50'000'000;
   /// Budget on resolution steps (subsumption subset tests and BVE
-  /// resolvent constructions). Deterministic.
+  /// resolvent pairs). Deterministic; once spent, subsumption and BVE stop.
   std::uint64_t max_resolutions = 10'000'000;
-  /// Wall-clock cap in seconds. Infinite by default: finite values make
-  /// the *output* depend on machine speed, which breaks run-to-run
-  /// determinism (the step budgets above are the deterministic guards).
+  /// Wall-clock cap in seconds; once passed, every technique stops.
+  /// Infinite by default: finite values make the *output* depend on
+  /// machine speed, which breaks run-to-run determinism (the step budgets
+  /// above are the deterministic guards).
   double max_seconds = std::numeric_limits<double>::infinity();
   /// Optional DRAT proof sink (sat/proof.h; not owned). When set, every
   /// state change — unit/failed-literal/pure fixes, equivalence
@@ -95,7 +110,7 @@ struct SimplifyStats {
   std::uint64_t removed_clauses = 0;    ///< total clauses dropped
   std::uint64_t propagations = 0;       ///< propagation steps spent
   std::uint64_t resolutions = 0;        ///< resolution steps spent
-  bool budget_exhausted = false;        ///< a budget stopped the run early
+  bool budget_exhausted = false;        ///< a budget stopped some technique
   double seconds = 0.0;                 ///< wall clock spent simplifying
 };
 
@@ -136,15 +151,21 @@ class SimplifyResult {
       kFixed,       ///< var fixed to a constant: `binding` is the true literal
       kEquivalent,  ///< var equivalent to `binding` (a literal of its
                     ///< representative variable)
-      kEliminated,  ///< var removed by BVE: `clauses` are its original
-                    ///< clauses, which force its value under the suffix
+      kEliminated,  ///< var removed by BVE: stack_lits[begin, end) holds its
+                    ///< original clauses, which force its value under the
+                    ///< suffix
     };
     Kind kind = Kind::kFixed;
     std::uint32_t var = 0;
     Lit binding{};  ///< kFixed / kEquivalent payload (unused for kEliminated)
-    std::vector<std::vector<Lit>> clauses;  ///< kEliminated payload
+    std::uint32_t begin = 0;  ///< kEliminated payload range in stack_lits
+    std::uint32_t end = 0;
   };
   std::vector<Reconstruction> stack;
+  /// The kEliminated entries' clauses, back to back. Each clause is led by
+  /// its literal on the eliminated variable, which occurs nowhere else in
+  /// it, so that literal marks where one clause ends and the next begins.
+  std::vector<Lit> stack_lits;
 };
 
 /// Runs the preprocessing pipeline. The result's formula is

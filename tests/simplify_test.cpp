@@ -7,9 +7,19 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <span>
+
 #include "cnf/simplify.h"
+#include "cnf/tseitin.h"
 #include "common/rng.h"
+#include "core/preprocessor.h"
+#include "gen/miter.h"
+#include "gen/suite.h"
+#include "rl/policy.h"
+#include "sat/proof.h"
 #include "sat/solver.h"
+#include "synth/recipe.h"
 
 namespace csat::cnf {
 namespace {
@@ -325,6 +335,117 @@ TEST(Simplify, IdempotentOnFixpoint) {
   const auto r2 = simplify(r1.cnf);
   EXPECT_EQ(r2.cnf.num_clauses(), r1.cnf.num_clauses() + 0u);
   EXPECT_LE(r2.stats.eliminated_vars, 1u);
+}
+
+TEST(Simplify, SpentProbeBudgetStillEliminates) {
+  // A spent propagation budget stops probing only; subsumption and BVE
+  // run on the resolution budget, which is untouched here.
+  const auto enc =
+      tseitin_encode(gen::inject_bug(gen::make_adder_miter(24), 5));
+  SimplifyParams p;
+  p.max_propagations = 1;
+  const auto r = simplify(enc.cnf, p);
+  EXPECT_TRUE(r.stats.budget_exhausted);
+  EXPECT_EQ(r.stats.probed_literals, 0u);
+  EXPECT_GT(r.stats.eliminated_vars, 0u);
+  ASSERT_FALSE(r.unsat);
+  const auto solved = sat::solve_cnf(r.cnf);
+  ASSERT_EQ(solved.status, sat::Status::kSat);
+  EXPECT_TRUE(enc.cnf.satisfied_by(r.extend_model(solved.model)));
+}
+
+/// Hashes everything simplify produces: as the attached proof tracer it
+/// takes in the DRAT step stream, then hash_result() adds the output.
+class OutputHash final : public sat::ProofTracer {
+ public:
+  void add(std::span<const Lit> lits) override {
+    word(1);
+    clause(lits);
+  }
+  void remove(std::span<const Lit> lits) override {
+    word(2);
+    clause(lits);
+  }
+  void word(std::uint64_t w) {
+    h_ = (h_ ^ w) * 0x9E3779B97F4A7C15ULL;
+    h_ ^= h_ >> 29;
+  }
+  void clause(std::span<const Lit> lits) {
+    word(lits.size());
+    for (Lit l : lits) word(l.x);
+  }
+  [[nodiscard]] std::uint64_t value() const { return h_; }
+
+  /// Output CNF, variable maps, reconstruction stack and step counters
+  /// (not the wall clock). An eliminated variable's clauses are hashed as
+  /// sorted literal sets, so only their content and order count.
+  void hash_result(const SimplifyResult& r) {
+    word(r.unsat);
+    word(r.original_vars);
+    word(r.cnf.num_vars());
+    for (std::size_t i = 0; i < r.cnf.num_clauses(); ++i) clause(r.cnf.clause(i));
+    for (std::uint32_t v : r.var_map) word(v);
+    for (std::uint32_t v : r.inverse_map) word(v);
+    using Kind = SimplifyResult::Reconstruction::Kind;
+    for (const auto& e : r.stack) {
+      word(static_cast<std::uint64_t>(e.kind));
+      word(e.var);
+      if (e.kind != Kind::kEliminated) {
+        word(e.binding.x);
+        continue;
+      }
+      std::vector<std::vector<Lit>> clauses;
+      for (std::uint32_t i = e.begin; i < e.end; ++i) {
+        const Lit l = r.stack_lits[i];
+        if (l.var() == e.var) clauses.emplace_back();
+        clauses.back().push_back(l);
+      }
+      word(clauses.size());
+      for (auto& c : clauses) {
+        std::sort(c.begin(), c.end());
+        clause(c);
+      }
+    }
+    const SimplifyStats& s = r.stats;
+    for (std::uint64_t n :
+         {s.fixed_units, s.pure_literals, s.failed_literals,
+          s.equivalent_literals, s.probed_literals, s.eliminated_vars,
+          s.subsumed_clauses, s.strengthened_clauses, s.removed_clauses,
+          s.propagations, s.resolutions})
+      word(n);
+  }
+
+ private:
+  std::uint64_t h_ = 1469598103934665603ULL;
+};
+
+TEST(Simplify, OutputMatchesParentOnGeneratedFamilies) {
+  // Golden hash of simplify's whole output on a fixed input set: Tseitin
+  // CNFs of the easy training families, two ISOP LUT CNFs from the
+  // paper's preprocessor and random 3-SAT around the threshold. It pins
+  // the techniques' order, visit order and budget charge points: a change
+  // to how the simplifier stores clauses must leave it unchanged, while a
+  // change to what it computes must update it knowingly.
+  std::vector<Cnf> inputs;
+  const auto suite = gen::make_training_suite(48, 7);
+  for (const auto& inst : suite) inputs.push_back(tseitin_encode(inst.circuit).cnf);
+  for (std::size_t i : {0, 1}) {
+    rl::FixedRecipePolicy policy(synth::compress2_recipe());
+    inputs.push_back(
+        core::Preprocessor().run(suite[i].circuit, policy).encoding_info.cnf);
+  }
+  for (std::uint64_t seed = 0; seed < 6; ++seed)
+    inputs.push_back(random_3sat(80, 340, 500 + seed));
+
+  OutputHash hash;
+  for (const Cnf& f : inputs) {
+    SimplifyParams p;
+    p.proof = &hash;
+    const auto r = simplify(f, p);
+    ASSERT_FALSE(r.stats.budget_exhausted);
+    hash.hash_result(r);
+  }
+  EXPECT_EQ(hash.value(), 0xe8b9ca5c3d0ea11cULL);
 }
 
 }  // namespace
