@@ -647,11 +647,11 @@ int run_json(const char* path, int repeats) {
       double off_seconds = 0.0, on_seconds = 0.0, simplify_seconds = 0.0;
       std::uint64_t vars_before = 0, vars_after = 0;
       std::uint64_t clauses_before = 0, clauses_after = 0;
-      std::uint64_t fixed = 0, equivalent = 0, eliminated = 0, removed = 0;
+      std::uint64_t fixed = 0, eliminated = 0, removed = 0;
       bool agree = true;
       for (int rep = 0; rep < repeats; ++rep) {
         vars_before = vars_after = clauses_before = clauses_after = 0;
-        fixed = equivalent = eliminated = removed = 0;
+        fixed = eliminated = removed = 0;
         const sat::SolverConfig cfg = preset(0);
         for (const cnf::Cnf& f : fam.instances) {
           Stopwatch off_watch;
@@ -669,9 +669,7 @@ int run_json(const char* path, int repeats) {
           vars_after += pre.cnf.num_vars();
           clauses_before += f.num_clauses();
           clauses_after += pre.cnf.num_clauses();
-          fixed += pre.stats.fixed_units + pre.stats.pure_literals +
-                   pre.stats.failed_literals;
-          equivalent += pre.stats.equivalent_literals;
+          fixed += pre.stats.fixed_units + pre.stats.pure_literals;
           eliminated += pre.stats.eliminated_vars;
           removed += pre.stats.removed_clauses;
         }
@@ -682,8 +680,7 @@ int run_json(const char* path, int repeats) {
           "    %s{\"family\": \"%s\", \"off_ms\": %.3f, \"on_ms\": %.3f, "
           "\"simplify_ms\": %.3f, \"vars_before\": %llu, \"vars_after\": %llu, "
           "\"clauses_before\": %llu, \"clauses_after\": %llu, "
-          "\"fixed_literals\": %llu, \"equivalent_literals\": %llu, "
-          "\"eliminated_vars\": %llu, \"removed_clauses\": %llu, "
+          "\"fixed_literals\": %llu, \"eliminated_vars\": %llu, \"removed_clauses\": %llu, "
           "\"verdicts_agree\": %s}",
           sfirst ? "" : ",", fam.name, off_seconds / repeats * 1e3,
           on_seconds / repeats * 1e3, simplify_seconds / repeats * 1e3,
@@ -692,7 +689,6 @@ int run_json(const char* path, int repeats) {
           static_cast<unsigned long long>(clauses_before),
           static_cast<unsigned long long>(clauses_after),
           static_cast<unsigned long long>(fixed),
-          static_cast<unsigned long long>(equivalent),
           static_cast<unsigned long long>(eliminated),
           static_cast<unsigned long long>(removed),
           agree ? "true" : "false");

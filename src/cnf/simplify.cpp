@@ -15,9 +15,8 @@ namespace {
 
 /// Working clause: a sorted literal range [offset, offset + size) of the
 /// simplifier's one literal arena, plus a Bloom signature and liveness.
-/// Every rewrite the simplifier makes keeps a clause's size or shrinks it
-/// (unit removal, strengthening, equivalence substitution), so rewrites
-/// happen in place and a clause never moves.
+/// Every rewrite the simplifier makes shrinks a clause (unit removal,
+/// strengthening), so rewrites happen in place and a clause never moves.
 struct WorkClause {
   std::uint32_t offset = 0;
   std::uint32_t size = 0;
@@ -50,8 +49,7 @@ class Simplifier {
         assign_(formula.num_vars(), -1),
         occ_(2 * static_cast<std::size_t>(formula.num_vars())),
         lit_mark_(2 * static_cast<std::size_t>(formula.num_vars()), 0),
-        touched_flag_(formula.num_vars(), 0),
-        probe_true_(2 * static_cast<std::size_t>(formula.num_vars()), 0) {
+        touched_flag_(formula.num_vars(), 0) {
     lits_.reserve(formula.num_literals());
     clauses_.reserve(formula.num_clauses());
     in_sub_queue_.reserve(formula.num_clauses());
@@ -89,7 +87,6 @@ class Simplifier {
       changed |= propagate_units();
       if (unsat_ || timed_out_) break;
       if (params_.pure_literals) changed |= eliminate_pures();
-      if (params_.failed_literal_probing) changed |= probe();
       if (params_.subsumption) changed |= subsume();
       if (params_.variable_elimination) changed |= eliminate_variables();
       if (!changed) break;
@@ -100,19 +97,12 @@ class Simplifier {
  private:
   // --- budgets --------------------------------------------------------------
   //
-  // Each budget stops only the techniques it meters: spent propagations
-  // stop probing, spent resolutions stop subsumption and BVE, and the wall
-  // clock stops everything. Pending units are drained regardless.
+  // Spent resolutions stop subsumption and BVE, and the wall clock stops
+  // everything. Pending units are drained regardless.
 
   void check_clock() {
     if (++clock_ticks_ % 4096 != 0) return;
     if (watch_.seconds() > params_.max_seconds) timed_out_ = true;
-  }
-
-  void charge_props(std::uint64_t n) {
-    stats_.propagations += n;
-    if (stats_.propagations > params_.max_propagations) props_spent_ = true;
-    check_clock();
   }
 
   void charge_res(std::uint64_t n) {
@@ -121,9 +111,6 @@ class Simplifier {
     check_clock();
   }
 
-  [[nodiscard]] bool probing_stopped() const {
-    return props_spent_ || timed_out_;
-  }
   [[nodiscard]] bool resolution_stopped() const {
     return res_spent_ || timed_out_;
   }
@@ -158,16 +145,8 @@ class Simplifier {
     if (tracing_) params_.proof->add(lits);
   }
   void proof_add1(Lit l) { proof_add(std::span<const Lit>(&l, 1)); }
-  void proof_add2(Lit a, Lit b) {
-    const Lit pair[2] = {a, b};
-    proof_add(pair);
-  }
   void proof_delete(std::span<const Lit> lits) {
     if (tracing_) params_.proof->remove(lits);
-  }
-  void proof_delete2(Lit a, Lit b) {
-    const Lit pair[2] = {a, b};
-    proof_delete(pair);
   }
   /// Keeps the pre-rewrite form of clause `idx` for the delete step that
   /// follows the rewritten form's add.
@@ -306,7 +285,7 @@ class Simplifier {
   // --- unit propagation -------------------------------------------------------
 
   /// Makes `l` true. Returns true when the variable was newly assigned.
-  /// Stats are attributed by the caller (unit/pure/failed buckets); the
+  /// Stats are attributed by the caller (unit/pure buckets); the
   /// reconstruction entry is pushed here so no fix can be forgotten.
   bool fix_literal(Lit l) {
     const std::uint32_t v = l.var();
@@ -316,17 +295,16 @@ class Simplifier {
     }
     assign_[v] = l.sign() ? 0 : 1;
     stack_.push_back({Kind::kFixed, v, l});
-    // The unit step itself. RUP for propagated and failed literals (the
-    // deriving clauses are still present), RAT on l for pure literals (no
-    // active clause contains !l). Both-phase probe lifts are covered by
-    // helper binaries the probe loop emits just before calling here.
+    // The unit step itself. RUP for propagated literals (the deriving
+    // clauses are still present), RAT on l for pure literals (no active
+    // clause contains !l).
     proof_add1(l);
     // Satisfied clauses die; falsified literals shrink clauses.
     const auto& satisfied = occ(l);
-    charge_props(satisfied.size() + 1);
+    check_clock();
     for (std::uint32_t idx : satisfied) kill_clause(idx);
     const auto& shrunk = occ(!l);
-    charge_props(shrunk.size() + 1);
+    check_clock();
     for (std::uint32_t idx : shrunk) {
       if (!clauses_[idx].alive) continue;
       proof_snapshot(idx);
@@ -388,183 +366,6 @@ class Simplifier {
       changed = true;
     }
     return changed;
-  }
-
-  // --- failed-literal probing --------------------------------------------------
-
-  /// BCP under the assumption `root`, on top of the (empty) global
-  /// assignment, using a stamp-versioned scratch valuation. Returns false
-  /// when a budget cut the probe short (its trail must be discarded);
-  /// otherwise `conflict` reports whether the assumption failed.
-  bool bcp_probe(Lit root, bool& conflict) {
-    conflict = false;
-    const std::uint32_t stamp = ++probe_stamp_;
-    std::uint32_t* const is_true = probe_true_.data();
-    probe_trail_.clear();
-    is_true[root.x] = stamp;
-    probe_trail_.push_back(root);
-    for (std::size_t head = 0; head < probe_trail_.size(); ++head) {
-      const Lit a = probe_trail_[head];
-      const auto& watch = occ(!a);
-      charge_props(watch.size() + 1);
-      if (probing_stopped()) return false;
-      for (std::uint32_t idx : watch) {
-        // A true literal or a second unassigned one settles the clause: it
-        // implies nothing, which `unknown == 2` stands for.
-        int unknown = 0;
-        Lit unit{};
-        for (Lit l : lits(idx)) {
-          if (is_true[l.x] == stamp) {
-            unknown = 2;
-            break;
-          }
-          if (is_true[(!l).x] == stamp) continue;  // falsified
-          if (++unknown == 2) break;
-          unit = l;
-        }
-        if (unknown == 0) {
-          conflict = true;
-          return true;
-        }
-        if (unknown == 1) {
-          is_true[unit.x] = stamp;
-          probe_trail_.push_back(unit);
-        }
-      }
-    }
-    return true;
-  }
-
-  bool probe() {
-    bool changed = false;
-    for (std::uint32_t v = 0; v < num_vars_ && !unsat_ && !probing_stopped();
-         ++v) {
-      if (assign_[v] != -1) continue;
-      // Variables missing a phase are pure (or unconstrained), not worth
-      // probing: assuming the absent phase propagates nothing.
-      if (occ(Lit::make(v, false)).empty() || occ(Lit::make(v, true)).empty())
-        continue;
-      ++stats_.probed_literals;
-
-      bool conflict = false;
-      if (!bcp_probe(Lit::make(v, false), conflict)) break;
-      if (conflict) {
-        ++stats_.failed_literals;
-        fix_literal(Lit::make(v, true));
-        propagate_units();
-        changed = true;
-        continue;
-      }
-      pos_implied_.clear();
-      for (Lit l : probe_trail_)
-        pos_implied_.emplace_back(l.var(), !l.sign());
-
-      if (!bcp_probe(Lit::make(v, true), conflict)) break;
-      if (conflict) {
-        ++stats_.failed_literals;
-        fix_literal(Lit::make(v, false));
-        propagate_units();
-        changed = true;
-        continue;
-      }
-
-      // Intersect the two implication sets. A variable assigned the same
-      // value by both phases is fixed; opposite values mean equivalence
-      // with the probed variable.
-      fixes_.clear();
-      equivs_.clear();
-      for (const auto& [m, b1] : pos_implied_) {
-        if (m == v) continue;
-        const bool b2 = probe_true_[Lit::make(m, false).x] == probe_stamp_;
-        if (!b2 && probe_true_[Lit::make(m, true).x] != probe_stamp_) continue;
-        if (b1 == b2) {
-          fixes_.push_back(Lit::make(m, !b1));
-        } else {
-          equivs_.emplace_back(m, Lit::make(v, !b1));
-        }
-      }
-      for (const auto& [m, rep] : equivs_) {
-        if (assign_[m] != -1 || assign_[rep.var()] != -1) continue;
-        substitute_var(m, rep);
-        changed = true;
-        if (unsat_ || probing_stopped()) break;
-      }
-      for (Lit f : fixes_) {
-        if (unsat_ || assign_[f.var()] != -1) continue;
-        ++stats_.failed_literals;
-        // f alone is not RUP (deriving it needs a case split on v), so
-        // bridge with two helper binaries, each RUP via one probe trail:
-        // (!v or f) from the v-true phase, (v or f) from the v-false
-        // phase. Resolving them yields the unit; then they are retracted
-        // so they can't shadow a later pure/RAT step on v.
-        proof_add2(Lit::make(v, true), f);
-        proof_add2(Lit::make(v, false), f);
-        fix_literal(f);
-        proof_delete2(Lit::make(v, true), f);
-        proof_delete2(Lit::make(v, false), f);
-        changed = true;
-      }
-      propagate_units();
-    }
-    return changed;
-  }
-
-  /// Replaces every occurrence of variable `m` by the equivalent literal
-  /// `rep` (value(m) == value(rep)), removing `m` from the formula. The
-  /// equivalence is pushed on the reconstruction stack first, so replay
-  /// recovers m's value from rep's.
-  void substitute_var(std::uint32_t m, Lit rep) {
-    stack_.push_back({Kind::kEquivalent, m, rep});
-    ++stats_.equivalent_literals;
-    // The two equivalence binaries (!m or rep) and (m or !rep). Each is RUP
-    // via one phase of the probe trail that discovered the equivalence (the
-    // caller emits these before anything mutates the clause set). Every
-    // rewritten clause below is then RUP against {its old form, one of
-    // these binaries}; they are retracted at the end so m's ghost
-    // occurrences can't block a later RAT step.
-    proof_add2(Lit::make(m, true), rep);
-    proof_add2(Lit::make(m, false), !rep);
-    for (const bool sgn : {false, true}) {
-      const Lit s = Lit::make(m, sgn);
-      const Lit r = rep ^ sgn;
-      // Only r's list (another variable's) gains entries below.
-      const auto& occurrences = occ(s);
-      charge_props(occurrences.size() + 1);
-      for (std::uint32_t idx : occurrences) {
-        if (!clauses_[idx].alive) continue;
-        const std::span<Lit> cl = lits(idx);
-        if (std::binary_search(cl.begin(), cl.end(), !r)) {
-          kill_clause(idx);  // clause gains r alongside !r: tautology
-          continue;
-        }
-        const bool had_r = std::binary_search(cl.begin(), cl.end(), r);
-        proof_snapshot(idx);
-        *std::find(cl.begin(), cl.end(), s) = r;
-        std::sort(cl.begin(), cl.end());
-        WorkClause& c = clauses_[idx];
-        if (had_r)
-          c.size = static_cast<std::uint32_t>(
-              std::unique(cl.begin(), cl.end()) - cl.begin());
-        c.signature = signature_of(lits(idx));
-        proof_add(lits(idx));
-        proof_delete(proof_old_);
-        for (Lit l : lits(idx)) touch_var(l.var());
-        if (c.size == 1) {
-          pending_units_.push_back(lits(idx)[0]);
-          kill_clause(idx);
-          continue;
-        }
-        if (!had_r) occ_[r.x].entries.push_back(idx);
-        enqueue_subsumption(idx);
-      }
-      occ_[s.x].entries.clear();
-      occ_[s.x].dirty = 0;
-    }
-    proof_delete2(Lit::make(m, true), rep);
-    proof_delete2(Lit::make(m, false), !rep);
-    touch_var(m);
-    touch_var(rep.var());
-    propagate_units();
   }
 
   // --- subsumption -------------------------------------------------------------
@@ -777,7 +578,7 @@ class Simplifier {
     result.stack = std::move(stack_);
     result.stack_lits = std::move(stack_lits_);
     result.var_map.assign(num_vars_, SimplifyResult::kUnmapped);
-    stats_.budget_exhausted = props_spent_ || res_spent_ || timed_out_;
+    stats_.budget_exhausted = res_spent_ || timed_out_;
 
     if (unsat_) {
       // Cap the proof with the empty clause. Every unsat_ site has already
@@ -802,39 +603,23 @@ class Simplifier {
         for (Lit l : lits(idx)) seen[l.var()] = true;
     for (Lit l : pending_units_) seen[l.var()] = true;
 
-    if (params_.remap_variables) {
-      std::uint32_t next = 0;
-      for (std::uint32_t v = 0; v < num_vars_; ++v) {
-        if (!seen[v]) continue;
-        result.var_map[v] = next++;
-        result.inverse_map.push_back(v);
-      }
-      result.cnf.add_vars(next);
-      std::vector<Lit> mapped;
-      for (std::uint32_t idx = 0; idx < clauses_.size(); ++idx) {
-        if (!clauses_[idx].alive) continue;
-        mapped.clear();
-        for (Lit l : lits(idx))
-          mapped.push_back(Lit::make(result.var_map[l.var()], l.sign()));
-        result.cnf.add_clause(mapped);
-      }
-      for (Lit l : pending_units_)
-        result.cnf.add_unit(Lit::make(result.var_map[l.var()], l.sign()));
-    } else {
-      for (std::uint32_t v = 0; v < num_vars_; ++v) {
-        result.var_map[v] = v;
-        result.inverse_map.push_back(v);
-      }
-      result.cnf.add_vars(num_vars_);
-      // Fixed variables come back as unit clauses so that a model of the
-      // output directly assigns them.
-      for (std::uint32_t v = 0; v < num_vars_; ++v)
-        if (assign_[v] != -1)
-          result.cnf.add_unit(Lit::make(v, assign_[v] == 0));
-      for (std::uint32_t idx = 0; idx < clauses_.size(); ++idx)
-        if (clauses_[idx].alive) result.cnf.add_clause(lits(idx));
-      for (Lit l : pending_units_) result.cnf.add_unit(l);
+    std::uint32_t next = 0;
+    for (std::uint32_t v = 0; v < num_vars_; ++v) {
+      if (!seen[v]) continue;
+      result.var_map[v] = next++;
+      result.inverse_map.push_back(v);
     }
+    result.cnf.add_vars(next);
+    std::vector<Lit> mapped;
+    for (std::uint32_t idx = 0; idx < clauses_.size(); ++idx) {
+      if (!clauses_[idx].alive) continue;
+      mapped.clear();
+      for (Lit l : lits(idx))
+        mapped.push_back(Lit::make(result.var_map[l.var()], l.sign()));
+      result.cnf.add_clause(mapped);
+    }
+    for (Lit l : pending_units_)
+      result.cnf.add_unit(Lit::make(result.var_map[l.var()], l.sign()));
     stats_.seconds = watch_.seconds();
     result.stats = stats_;
     return result;
@@ -844,7 +629,6 @@ class Simplifier {
   std::uint32_t num_vars_;
   SimplifyStats stats_;
   bool unsat_ = false;
-  bool props_spent_ = false;    // max_propagations passed: probing stops
   bool res_spent_ = false;      // max_resolutions passed: subsumption, BVE stop
   bool timed_out_ = false;      // max_seconds passed: every technique stops
   bool tracing_ = false;        // params_.proof set and run() has started
@@ -868,13 +652,6 @@ class Simplifier {
   std::vector<std::uint32_t> round_vars_;
   std::vector<std::uint32_t> sub_queue_;
   std::vector<std::uint8_t> in_sub_queue_;
-  // Probing scratch (stamp-versioned so probes never pay an O(vars) reset).
-  std::uint32_t probe_stamp_ = 0;
-  std::vector<std::uint32_t> probe_true_;  // by literal: == stamp when true
-  std::vector<Lit> probe_trail_;
-  std::vector<std::pair<std::uint32_t, bool>> pos_implied_;
-  std::vector<std::pair<std::uint32_t, Lit>> equivs_;
-  std::vector<Lit> fixes_;
 };
 
 }  // namespace
@@ -891,9 +668,6 @@ std::vector<bool> SimplifyResult::extend_model(std::vector<bool> model) const {
     switch (it->kind) {
       case Reconstruction::Kind::kFixed:
         full[it->var] = !it->binding.sign();
-        break;
-      case Reconstruction::Kind::kEquivalent:
-        full[it->var] = full[it->binding.var()] != it->binding.sign();
         break;
       case Reconstruction::Kind::kEliminated: {
         // The entry's clauses lie back to back in stack_lits, each led by

@@ -3,7 +3,6 @@
 
 /// \file simplify.h
 /// CNF-level preprocessing: unit propagation, pure-literal elimination,
-/// failed-literal probing with equivalent-literal substitution,
 /// (self-)subsumption, bounded variable elimination and variable remapping.
 ///
 /// The paper's pipeline runs on top of the solvers' "default CNF-based
@@ -12,16 +11,16 @@
 /// layer for our self-contained stack:
 ///   * unit propagation to a fixpoint,
 ///   * pure-literal elimination,
-///   * failed-literal probing (assume a literal, BCP; a conflict fixes the
-///     negation; literals implied by both phases are fixed; opposite
-///     implications in the two phases yield variable equivalences that are
-///     substituted away),
 ///   * backward subsumption and self-subsuming resolution (strengthening),
 ///   * bounded variable elimination (eliminate v when the resolvent set is
 ///     no larger than the clauses it replaces, NiVER's non-increasing rule),
 ///   * variable remapping: the output formula lives on a dense variable
 ///     range containing only the surviving variables, so the CDCL solver
 ///     never allocates or branches over eliminated ones.
+/// There is no failed-literal probing or equivalence substitution: the
+/// paper finds constant and equivalent nodes in logic synthesis, on the
+/// AIG, before any CNF exists, and probing costs time quadratic in the
+/// length of a carry chain.
 ///
 /// Every removal is recorded on a reconstruction stack so that a model of
 /// the simplified formula can be *extended* to a model of the original
@@ -38,10 +37,10 @@
 /// stack entry points into.
 ///
 /// All techniques are budgeted so the engine is safe to run by default on
-/// every solve path. Each budget stops only what it meters: spent
-/// propagations stop probing, spent resolutions stop subsumption and BVE,
-/// and the wall clock stops everything. Pending units are always drained,
-/// so a cut-short run still returns an equisatisfiable formula.
+/// every solve path. Spent resolutions stop subsumption and BVE, and the
+/// wall clock stops everything. Pending units are
+/// always drained, so a cut-short run still returns an equisatisfiable
+/// formula.
 
 #include <cstdint>
 #include <limits>
@@ -59,38 +58,24 @@ struct SimplifyParams {
   bool pure_literals = true;
   bool subsumption = true;
   bool variable_elimination = true;
-  /// Failed-literal probing: assume each unassigned variable both ways and
-  /// BCP; conflicts fix literals, shared implications lift literals, and
-  /// v≡w equivalences are harvested and the represented variable is
-  /// substituted away.
-  bool failed_literal_probing = true;
-  /// Compact the output onto a dense variable range (dropping fixed,
-  /// eliminated, substituted and unconstrained variables). When off, the
-  /// output keeps the input variable space and fixed variables are
-  /// re-emitted as unit clauses.
-  bool remap_variables = true;
   /// Variables with more than this many occurrences are never eliminated
   /// (quadratic resolvent blow-up guard).
   int bve_occurrence_limit = 16;
   /// Simplification rounds (each round runs all enabled techniques).
   int max_rounds = 3;
-  /// Budget on propagation steps (occurrence-list visits during unit
-  /// propagation, substitution and probing BCP). Deterministic; once spent,
-  /// probing stops and the other techniques carry on.
-  std::uint64_t max_propagations = 50'000'000;
   /// Budget on resolution steps (subsumption subset tests and BVE
   /// resolvent pairs). Deterministic; once spent, subsumption and BVE stop.
   std::uint64_t max_resolutions = 10'000'000;
   /// Wall-clock cap in seconds; once passed, every technique stops.
   /// Infinite by default: finite values make the *output* depend on
-  /// machine speed, which breaks run-to-run determinism (the step budgets
-  /// above are the deterministic guards).
+  /// machine speed, which breaks run-to-run determinism (the resolution
+  /// budget above is the deterministic guard).
   double max_seconds = std::numeric_limits<double>::infinity();
   /// Optional DRAT proof sink (sat/proof.h; not owned). When set, every
-  /// state change — unit/failed-literal/pure fixes, equivalence
-  /// substitutions, subsumption kills, strengthenings, BVE resolvents and
-  /// parent deletions — is emitted as add/delete steps *in the input
-  /// variable space*, before any dense remapping, so the proof composes
+  /// state change — unit and pure fixes, subsumption kills,
+  /// strengthenings, BVE resolvents and parent deletions — is emitted as
+  /// add/delete steps *in the input variable space*, before the dense
+  /// remapping, so the proof composes
   /// with the solver's continuation (translated back through
   /// sat::RemapTracer) into one refutation of the original formula.
   /// Proof mode implies unit propagation: pending units are always
@@ -101,14 +86,10 @@ struct SimplifyParams {
 struct SimplifyStats {
   std::uint64_t fixed_units = 0;        ///< fixed by unit propagation
   std::uint64_t pure_literals = 0;      ///< fixed as pure
-  std::uint64_t failed_literals = 0;    ///< fixed by probing (conflict/lift)
-  std::uint64_t equivalent_literals = 0;///< variables substituted away
-  std::uint64_t probed_literals = 0;    ///< variables probed (both phases)
   std::uint64_t eliminated_vars = 0;    ///< removed by variable elimination
   std::uint64_t subsumed_clauses = 0;
   std::uint64_t strengthened_clauses = 0;
   std::uint64_t removed_clauses = 0;    ///< total clauses dropped
-  std::uint64_t propagations = 0;       ///< propagation steps spent
   std::uint64_t resolutions = 0;        ///< resolution steps spent
   bool budget_exhausted = false;        ///< a budget stopped some technique
   double seconds = 0.0;                 ///< wall clock spent simplifying
@@ -116,10 +97,9 @@ struct SimplifyStats {
 
 class SimplifyResult {
  public:
-  /// Simplified formula. With SimplifyParams::remap_variables it lives on a
-  /// dense variable range (see var_map/inverse_map); otherwise it keeps the
-  /// input variable space. When unsat, it is the canonical unsatisfiable
-  /// formula: zero variables and one empty clause.
+  /// Simplified formula, on a dense variable range (see var_map/
+  /// inverse_map). When unsat, it is the canonical unsatisfiable formula:
+  /// zero variables and one empty clause.
   Cnf cnf;
   SimplifyStats stats;
   bool unsat = false;  ///< conflict found during preprocessing
@@ -128,7 +108,7 @@ class SimplifyResult {
   std::uint32_t original_vars = 0;
 
   /// Sentinel in var_map for variables with no image in the output
-  /// (fixed, eliminated, substituted or unconstrained).
+  /// (fixed, eliminated or unconstrained).
   static constexpr std::uint32_t kUnmapped =
       std::numeric_limits<std::uint32_t>::max();
   /// original variable -> output variable (kUnmapped when dropped).
@@ -149,15 +129,13 @@ class SimplifyResult {
   struct Reconstruction {
     enum class Kind : std::uint8_t {
       kFixed,       ///< var fixed to a constant: `binding` is the true literal
-      kEquivalent,  ///< var equivalent to `binding` (a literal of its
-                    ///< representative variable)
       kEliminated,  ///< var removed by BVE: stack_lits[begin, end) holds its
                     ///< original clauses, which force its value under the
                     ///< suffix
     };
     Kind kind = Kind::kFixed;
     std::uint32_t var = 0;
-    Lit binding{};  ///< kFixed / kEquivalent payload (unused for kEliminated)
+    Lit binding{};  ///< kFixed payload (unused for kEliminated)
     std::uint32_t begin = 0;  ///< kEliminated payload range in stack_lits
     std::uint32_t end = 0;
   };

@@ -84,10 +84,8 @@ BatchResult run_batch(const std::vector<aig::Aig>& instances,
     batch.clauses_exported += r.clauses_exported;
     batch.clauses_imported += r.clauses_imported;
     const cnf::SimplifyStats& s = r.simplify_stats;
-    batch.simplify_fixed_literals +=
-        s.fixed_units + s.pure_literals + s.failed_literals;
-    batch.simplify_eliminated_vars +=
-        s.eliminated_vars + s.equivalent_literals;
+    batch.simplify_fixed_literals += s.fixed_units + s.pure_literals;
+    batch.simplify_eliminated_vars += s.eliminated_vars;
     batch.simplify_removed_clauses += s.removed_clauses;
     switch (r.status) {
       case sat::Status::kSat:

@@ -59,8 +59,8 @@ struct BatchResult {
   std::uint64_t clauses_imported = 0;
   /// CNF-preprocessing totals summed over the batch (zero when the
   /// pipeline runs with cnf_simplify off).
-  std::uint64_t simplify_fixed_literals = 0;  ///< units + pures + failed
-  std::uint64_t simplify_eliminated_vars = 0; ///< BVE + equivalences
+  std::uint64_t simplify_fixed_literals = 0;  ///< units + pures
+  std::uint64_t simplify_eliminated_vars = 0; ///< BVE
   std::uint64_t simplify_removed_clauses = 0;
 };
 

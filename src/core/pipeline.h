@@ -75,8 +75,8 @@ struct PipelineOptions {
   sat::ClauseSharingOptions portfolio_sharing;
   int max_steps = 10;  ///< T
   bool normalize = true;
-  /// Run the CNF-level preprocessor (SatELite/NiVER-style plus probing and
-  /// variable remapping; cnf/simplify.h) on the encoded formula before
+  /// Run the CNF-level preprocessor (SatELite/NiVER-style plus variable
+  /// remapping; cnf/simplify.h) on the encoded formula before
   /// solving — the "default CNF-based preprocessing" the paper keeps
   /// enabled underneath its framework. On by default; the preprocessor is
   /// budgeted (simplify_params) so it is safe on every instance.

@@ -368,10 +368,6 @@ std::string ServerResponse::to_json() const {
     out += ",\"clauses\":" + std::to_string(simplified_clauses);
     out += ",\"fixed_units\":" + std::to_string(simplify_stats.fixed_units);
     out += ",\"pure_literals\":" + std::to_string(simplify_stats.pure_literals);
-    out += ",\"failed_literals\":" +
-           std::to_string(simplify_stats.failed_literals);
-    out += ",\"equivalent_literals\":" +
-           std::to_string(simplify_stats.equivalent_literals);
     out += ",\"eliminated_vars\":" +
            std::to_string(simplify_stats.eliminated_vars);
     out += ",\"subsumed_clauses\":" +

@@ -19,8 +19,8 @@
 ///    (add-strengthened / delete-original pairs), and the empty clause on
 ///    every UNSAT exit.
 ///  * cnf::simplify (SimplifyParams::proof): every preprocessing state
-///    change — probing/unit fixes, pure literals, equivalence
-///    substitutions, BVE resolvents, subsumption and strengthening — as
+///    change — unit fixes, pure literals, BVE resolvents, subsumption
+///    and strengthening — as
 ///    add/delete lines *in original-variable space*, emitted before the
 ///    dense variable remapping. The solver's post-remap steps are
 ///    translated back through RemapTracer, so one proof stream covers the

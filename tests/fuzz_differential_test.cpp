@@ -127,10 +127,10 @@ TEST(FuzzDifferential, GeneratedCircuitMiters) {
 
 TEST(FuzzDifferential, SimplifyPreservesVerdictsAndModels) {
   // ~200 instances through the full preprocessor (propagation, pures,
-  // failed-literal probing, equivalent-literal substitution, subsumption,
-  // BVE, variable remapping) differentially against an untouched sequential
-  // solver. Every SAT model is reconstructed with extend_model and checked
-  // against the ORIGINAL formula, never the simplified one.
+  // subsumption, BVE, variable remapping) differentially against an
+  // untouched sequential solver. Every SAT model is reconstructed with
+  // extend_model and checked against the ORIGINAL formula, never the
+  // simplified one.
   int sat_count = 0;
   int unsat_count = 0;
   const auto check_one = [&](const cnf::Cnf& f, const std::string& tag) {

@@ -370,7 +370,7 @@ TEST(SolverProof, SatAndBudgetedSolvesLeaveNoRefutation) {
 // --- preprocessor end-to-end ------------------------------------------------
 
 TEST(SimplifyProof, PreprocessorRefutationsValidate) {
-  // Formulas the preprocessor refutes on its own (probing + BVE + units):
+  // Formulas the preprocessor refutes on its own (units, subsumption, BVE):
   // the proof must check against the ORIGINAL formula with no solver step.
   int refuted = 0;
   Rng rng(0x51AB);
