@@ -17,42 +17,25 @@
 // inprocessing counters) — the CI Release lane archives this as
 // BENCH_sat_micro.json so the perf trajectory is recorded per commit.
 //
-// Inprocessing ablation flags apply to every mode (benchmarks, --smoke,
-// --json): `--chrono=on|off --vivify=on|off --adaptive=on|off` toggle
-// chronological backtracking, clause vivification and adaptive glue export
-// on both presets, so before/after comparisons are one flag flip.
-// `--simplify=on|off` (default off, so the --smoke BCP floor keeps
-// measuring raw search) runs the CNF preprocessor (cnf/simplify.h) before
-// every sequential solve. Independently of that flag, `--json` always
-// appends a measured simplify on/off comparison ("simplify" block) for the
+// `--json` also appends three measured comparisons. The "simplify" block
+// runs the CNF preprocessor (cnf/simplify.h) on and off for the
 // adder_miter and random3sat families and for serve_easy, 200 easy-regime
 // Tseitin CNFs (the solve server's scale); `simplify_ms` is the
-// preprocessor's own share of `on_ms`.
-//
-// `--proof=on|off` (default off) attaches a DRAT tracer to every
-// sequential solve — the proof text is formatted and discarded, so the
-// flag measures pure emission overhead without disk I/O. Independently of
-// that flag, `--json` always appends a measured proof on/off comparison
-// ("proof" block) on the UNSAT families, recording wall time both ways
-// plus the proof's add/delete step counts.
-//
-// `--json` also appends a "circuit" block: the circuit-native backend
-// (sat/circuit_solver.h, PR 9) vs the Tseitin+CNF backend on the
+// preprocessor's own share of `on_ms`. The "proof" block runs the UNSAT
+// families with and without a DRAT tracer into a discarding sink, so it
+// measures pure emission overhead without disk I/O, plus the proof's
+// add/delete step counts. The "circuit" block runs the circuit-native
+// backend (sat/circuit_solver.h) against the Tseitin+CNF backend on the
 // adder-miter family (solved directly on the AIG) and the pigeonhole
 // family (bridged through cnf::cnf_to_aig), with gate-domain counters
 // (gate propagations, justification decisions, frontier high-water mark)
-// next to the CNF arm's numbers. Verdict agreement is self-checked.
-//
-// `sat_micro --smoke-circuit` is the companion CI gate: a fixed mixed
-// 16-instance generated suite (gen/suite.h) solved by BOTH backends;
-// any circuit-vs-CNF verdict disagreement or wrong expected verdict exits
-// nonzero.
+// next to the CNF arm's numbers. Every block self-checks verdict
+// agreement.
 
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <ostream>
 #include <streambuf>
 #include <string>
@@ -65,6 +48,7 @@
 #include "common/rng.h"
 #include "common/stopwatch.h"
 #include "gen/miter.h"
+#include "gen/pigeonhole.h"
 #include "gen/suite.h"
 #include "sat/circuit_solver.h"
 #include "sat/portfolio.h"
@@ -75,22 +59,7 @@ using namespace csat;
 
 namespace {
 
-struct Ablation {
-  bool chrono = true;
-  bool vivify = true;
-  bool adaptive = true;
-  // CNF preprocessing before every sequential solve. Off by default so the
-  // --smoke throughput floor keeps measuring raw search.
-  bool simplify = false;
-  // DRAT emission into a discarding sink on every sequential solve. Off by
-  // default for the same reason.
-  bool proof = false;
-  // 0 = keep the preset's default; sweepable for tuning runs.
-  std::uint32_t chrono_threshold = 0;
-  std::uint64_t vivify_interval = 0;
-  std::uint32_t vivify_effort = 0;
-};
-Ablation g_ablation;
+using gen::pigeonhole;
 
 cnf::Cnf random_3sat(int vars, double ratio, std::uint64_t seed) {
   Rng rng(seed);
@@ -110,43 +79,13 @@ cnf::Cnf random_3sat(int vars, double ratio, std::uint64_t seed) {
   return f;
 }
 
-cnf::Cnf pigeonhole(int holes) {
-  const int pigeons = holes + 1;
-  cnf::Cnf f;
-  f.add_vars(pigeons * holes);
-  const auto var = [&](int p, int h) {
-    return static_cast<std::uint32_t>(p * holes + h);
-  };
-  for (int p = 0; p < pigeons; ++p) {
-    std::vector<cnf::Lit> clause;
-    for (int h = 0; h < holes; ++h)
-      clause.push_back(cnf::Lit::make(var(p, h), false));
-    f.add_clause(clause);
-  }
-  for (int h = 0; h < holes; ++h)
-    for (int p1 = 0; p1 < pigeons; ++p1)
-      for (int p2 = p1 + 1; p2 < pigeons; ++p2)
-        f.add_binary(cnf::Lit::make(var(p1, h), true),
-                     cnf::Lit::make(var(p2, h), true));
-  return f;
-}
-
 cnf::Cnf adder_miter_cnf(int width) {
   return cnf::tseitin_encode(gen::make_adder_miter(width)).cnf;
 }
 
 sat::SolverConfig preset(int index) {
-  sat::SolverConfig c = index == 0 ? sat::SolverConfig::kissat_like()
-                                   : sat::SolverConfig::cadical_like();
-  c.chrono = g_ablation.chrono;
-  c.vivify = g_ablation.vivify;
-  if (g_ablation.chrono_threshold != 0)
-    c.chrono_threshold = g_ablation.chrono_threshold;
-  if (g_ablation.vivify_interval != 0)
-    c.vivify_interval = g_ablation.vivify_interval;
-  if (g_ablation.vivify_effort != 0)
-    c.vivify_effort_permille = g_ablation.vivify_effort;
-  return c;
+  return index == 0 ? sat::SolverConfig::kissat_like()
+                    : sat::SolverConfig::cadical_like();
 }
 
 /// Swallows everything written to it, so proof-overhead runs pay the full
@@ -182,34 +121,6 @@ class DiscardDrat final : public sat::ProofTracer {
   std::uint64_t deletes_ = 0;
 };
 
-/// Sequential solve honouring the --simplify ablation (preprocess first;
-/// UNSAT short-circuits the solver entirely) with an optional DRAT sink.
-/// With simplify on, the preprocessor traces into the sink directly
-/// (original-variable space) and the solver's post-remap steps are
-/// translated back through RemapTracer, mirroring core/pipeline.
-sat::SolveResult solve_traced(const cnf::Cnf& f, const sat::SolverConfig& cfg,
-                              sat::ProofTracer* proof) {
-  if (!g_ablation.simplify) return sat::solve_cnf(f, cfg, {}, proof);
-  cnf::SimplifyParams sp;
-  sp.proof = proof;
-  const auto pre = cnf::simplify(f, sp);
-  if (pre.unsat) {
-    sat::SolveResult r;
-    r.status = sat::Status::kUnsat;
-    return r;
-  }
-  if (proof == nullptr) return sat::solve_cnf(pre.cnf, cfg);
-  sat::RemapTracer remap(*proof, pre.inverse_map);
-  return sat::solve_cnf(pre.cnf, cfg, {}, &remap);
-}
-
-sat::SolveResult solve_sequential(const cnf::Cnf& f,
-                                  const sat::SolverConfig& cfg) {
-  if (!g_ablation.proof) return solve_traced(f, cfg, nullptr);
-  DiscardDrat sink;
-  return solve_traced(f, cfg, &sink);
-}
-
 void report_stats(benchmark::State& state, const sat::SolveResult& r,
                   double total_propagations) {
   state.counters["decisions"] = static_cast<double>(r.stats.decisions);
@@ -225,7 +136,7 @@ void run_sequential_case(benchmark::State& state, const cnf::Cnf& f) {
   sat::SolveResult last;
   double props = 0.0;
   for (auto _ : state) {
-    last = solve_sequential(f, preset(static_cast<int>(state.range(1))));
+    last = sat::solve_cnf(f, preset(static_cast<int>(state.range(1))));
     props += static_cast<double>(last.stats.propagations);
     benchmark::DoNotOptimize(last.status);
   }
@@ -256,12 +167,7 @@ void run_portfolio_case(benchmark::State& state, const cnf::Cnf& f) {
   sat::PortfolioOptions opt;
   opt.num_workers = 4;
   opt.sharing.enabled = state.range(1) != 0;
-  opt.sharing.adaptive = g_ablation.adaptive;
   opt.configs = sat::default_portfolio(4);
-  for (auto& c : opt.configs) {
-    c.chrono = g_ablation.chrono;
-    c.vivify = g_ablation.vivify;
-  }
   sat::PortfolioResult last;
   for (auto _ : state) {
     last = sat::solve_portfolio(f, opt);
@@ -322,7 +228,7 @@ int run_smoke() {
     sat::Status verdicts[2];
     for (int p = 0; p < 2; ++p) {
       Stopwatch watch;
-      const auto r = solve_sequential(c.formula, preset(p));
+      const auto r = sat::solve_cnf(c.formula, preset(p));
       const double secs = watch.seconds();
       total_props += r.stats.propagations;
       total_seconds += secs;
@@ -350,91 +256,6 @@ int run_smoke() {
               props_per_sec / 1e6, min_props_per_sec / 1e6);
   if (min_props_per_sec > 0.0 && props_per_sec < min_props_per_sec) {
     std::printf("FAIL: propagation throughput below floor\n");
-    ++failures;
-  }
-  return failures == 0 ? 0 : 1;
-}
-
-// --- `--smoke-circuit` CI gate ----------------------------------------------
-
-/// Release-mode circuit-backend agreement gate, registered as the
-/// smoke.circuit_vs_cnf CTest: a fixed mixed 16-instance generated suite
-/// (LEC + ATPG miters, a fraction with injected bugs => SAT) is solved by
-/// the circuit-native backend AND the Tseitin+CNF backend; the two
-/// verdicts must agree on every instance, every circuit SAT witness must
-/// satisfy the Tseitin encoding of its instance, and no instance may time
-/// out. Any failure exits nonzero.
-int run_smoke_circuit() {
-  gen::SuiteParams params;
-  params.count = 16;
-  params.seed = 0xC19C0117;
-  const auto suite = gen::make_suite(params);
-
-  const sat::SolverConfig cnf_cfg = preset(0);
-
-  int failures = 0;
-  int sat_count = 0, unsat_count = 0;
-  double circuit_seconds = 0.0, cnf_seconds = 0.0;
-  for (const gen::Instance& inst : suite) {
-    Stopwatch circ_watch;
-    const auto circ = sat::solve_circuit(inst.circuit, cnf_cfg);
-    circuit_seconds += circ_watch.seconds();
-
-    const auto enc = cnf::tseitin_encode(inst.circuit);
-    sat::Status cnf_status = sat::Status::kUnknown;
-    Stopwatch cnf_watch;
-    if (enc.trivially_unsat) {
-      cnf_status = sat::Status::kUnsat;
-    } else if (enc.trivially_sat) {
-      cnf_status = sat::Status::kSat;
-    } else {
-      cnf_status = sat::solve_cnf(enc.cnf, cnf_cfg).status;
-    }
-    cnf_seconds += cnf_watch.seconds();
-
-    std::printf("smoke-circuit %-28s circuit=%d cnf=%d\n", inst.name.c_str(),
-                static_cast<int>(circ.status), static_cast<int>(cnf_status));
-    if (circ.status == sat::Status::kUnknown ||
-        cnf_status == sat::Status::kUnknown) {
-      std::printf("FAIL: %s: a backend returned UNKNOWN\n", inst.name.c_str());
-      ++failures;
-      continue;
-    }
-    if (circ.status != cnf_status) {
-      std::printf("FAIL: %s: circuit and CNF backends disagree\n",
-                  inst.name.c_str());
-      ++failures;
-      continue;
-    }
-    if (circ.status == sat::Status::kSat) {
-      ++sat_count;
-      // The circuit witness must be a model of the *CNF encoding* too:
-      // assign every node its evaluated value and check clause by clause.
-      if (!enc.trivially_sat) {
-        std::vector<bool> model(enc.cnf.num_vars(), false);
-        for (std::size_t node = 0; node < enc.node2var.size(); ++node) {
-          const std::uint32_t v = enc.node2var[node];
-          if (v == UINT32_MAX) continue;
-          model[v] = circ.node_values[node] != 0;
-        }
-        if (!enc.cnf.satisfied_by(model)) {
-          std::printf("FAIL: %s: circuit witness violates the Tseitin CNF\n",
-                      inst.name.c_str());
-          ++failures;
-        }
-      }
-    } else {
-      ++unsat_count;
-    }
-  }
-  std::printf(
-      "smoke-circuit total: %zu instances (%d SAT / %d UNSAT), "
-      "circuit %.3f s vs cnf %.3f s\n",
-      suite.size(), sat_count, unsat_count, circuit_seconds, cnf_seconds);
-  // The generated mix must actually exercise both verdicts, or the gate
-  // silently degrades into a one-sided check.
-  if (sat_count == 0 || unsat_count == 0) {
-    std::printf("FAIL: suite did not cover both SAT and UNSAT\n");
     ++failures;
   }
   return failures == 0 ? 0 : 1;
@@ -472,17 +293,7 @@ int run_json(const char* path, int repeats) {
   constexpr int kSolverSeeds = 4;
 
   std::string out = "{\n  \"bench\": \"sat_micro\",\n";
-  out += "  \"config\": {\"chrono\": ";
-  out += g_ablation.chrono ? "true" : "false";
-  out += ", \"vivify\": ";
-  out += g_ablation.vivify ? "true" : "false";
-  out += ", \"adaptive\": ";
-  out += g_ablation.adaptive ? "true" : "false";
-  out += ", \"simplify\": ";
-  out += g_ablation.simplify ? "true" : "false";
-  out += ", \"proof\": ";
-  out += g_ablation.proof ? "true" : "false";
-  out += ", \"mean_of\": " + std::to_string(repeats) +
+  out += "  \"config\": {\"mean_of\": " + std::to_string(repeats) +
          ", \"solver_seeds\": " + std::to_string(kSolverSeeds) + "},\n";
   out += "  \"results\": [\n";
   bool first = true;
@@ -536,7 +347,7 @@ int run_json(const char* path, int repeats) {
           cfg.seed += static_cast<std::uint64_t>(sd) * 7919;
           for (const cnf::Cnf& f : fam.instances) {
             Stopwatch watch;
-            const auto r = solve_sequential(f, cfg);
+            const auto r = sat::solve_cnf(f, cfg);
             total_seconds += watch.seconds();
             props += r.stats.propagations;
             conflicts += r.stats.conflicts;
@@ -559,8 +370,8 @@ int run_json(const char* path, int repeats) {
          watch_bytes);
   }
 
-  // Portfolio families: the 4-worker sharing race (levers per ablation
-  // flags, incl. fixpoint import + adaptive export) on hard instances.
+  // Portfolio families: the 4-worker sharing race (fixpoint import and
+  // adaptive export included) on hard instances.
   struct PortfolioFamily {
     const char* name;
     cnf::Cnf formula;
@@ -577,16 +388,8 @@ int run_json(const char* path, int repeats) {
     for (int rep = 0; rep < repeats; ++rep) {
       sat::PortfolioOptions opt;
       opt.num_workers = 4;
-      opt.sharing.adaptive = g_ablation.adaptive;
-      opt.sharing.import_at_fixpoint = g_ablation.adaptive;
       opt.configs =
           sat::default_portfolio(4, 91648253 + static_cast<std::uint64_t>(rep));
-      for (auto& cfg : opt.configs) {
-        cfg.chrono = g_ablation.chrono;
-        cfg.vivify = g_ablation.vivify;
-        if (g_ablation.chrono_threshold != 0)
-          cfg.chrono_threshold = g_ablation.chrono_threshold;
-      }
       Stopwatch watch;
       const auto r = sat::solve_portfolio(race.formula, opt);
       total_seconds += watch.seconds();
@@ -623,8 +426,7 @@ int run_json(const char* path, int repeats) {
                 race.name, mean_seconds * 1e3, pps / 1e6);
   }
 
-  // Measured CNF-preprocessor on/off comparison, always emitted regardless
-  // of --simplify: per family, the sequential wall time without the
+  // Measured CNF-preprocessor on/off comparison: per family, the sequential wall time without the
   // preprocessor vs with it (simplify time included), plus what it removed.
   // Both arms must agree on every verdict.
   out += "  ],\n  \"simplify\": [\n";
@@ -704,8 +506,7 @@ int run_json(const char* path, int repeats) {
                   agree ? "" : "  VERDICT MISMATCH");
     }
   }
-  // Measured DRAT-emission on/off comparison, always emitted regardless of
-  // --proof: sequential wall time with no tracer vs with a discarding text
+  // Measured DRAT-emission on/off comparison: sequential wall time with no tracer vs with a discarding text
   // tracer, on the UNSAT families (where a complete certificate is actually
   // produced), plus the proof's step counts. Both arms must stay UNSAT.
   out += "  ],\n  \"proof\": [\n";
@@ -728,11 +529,11 @@ int run_json(const char* path, int repeats) {
         const sat::SolverConfig cfg = preset(0);
         for (const cnf::Cnf& f : fam.instances) {
           Stopwatch off_watch;
-          const auto off = solve_traced(f, cfg, nullptr);
+          const auto off = sat::solve_cnf(f, cfg);
           off_seconds += off_watch.seconds();
           DiscardDrat sink;
           Stopwatch on_watch;
-          const auto on = solve_traced(f, cfg, &sink);
+          const auto on = sat::solve_cnf(f, cfg, {}, &sink);
           on_seconds += on_watch.seconds();
           adds += sink.adds();
           deletes += sink.deletes();
@@ -764,7 +565,7 @@ int run_json(const char* path, int repeats) {
                   all_unsat ? "" : "  VERDICT MISMATCH");
     }
   }
-  // Measured circuit-vs-CNF backend comparison (PR 9), always emitted: the
+  // Measured circuit-vs-CNF backend comparison: the
   // circuit-native solver works on the AIG (adder miters directly; the
   // pigeonhole CNF bridged through cnf::cnf_to_aig), the CNF arm solves the
   // Tseitin encoding / raw formula with preset 0. Gate-domain counters sit
@@ -894,22 +695,14 @@ BENCHMARK(BM_PortfolioAdderMiter)
 
 int main(int argc, char** argv) {
   bool smoke = false;
-  bool smoke_circuit = false;
   const char* json_path = nullptr;
   int repeats = 3;
   std::vector<char*> passthrough{argv[0]};
-  const auto parse_onoff = [](std::string_view v, bool& out) {
-    if (v != "on" && v != "off") return false;
-    out = v == "on";
-    return true;
-  };
   for (int i = 1; i < argc; ++i) {
     const std::string_view a(argv[i]);
     bool bad = false;
     if (a == "--smoke") {
       smoke = true;
-    } else if (a == "--smoke-circuit") {
-      smoke_circuit = true;
     } else if (a.rfind("--json=", 0) == 0) {
       json_path = argv[i] + 7;
     } else if (a == "--json" && i + 1 < argc) {
@@ -917,25 +710,6 @@ int main(int argc, char** argv) {
     } else if (a.rfind("--mean=", 0) == 0) {
       repeats = std::atoi(argv[i] + 7);
       bad = repeats < 1;
-    } else if (a.rfind("--chrono=", 0) == 0) {
-      bad = !parse_onoff(a.substr(9), g_ablation.chrono);
-    } else if (a.rfind("--vivify=", 0) == 0) {
-      bad = !parse_onoff(a.substr(9), g_ablation.vivify);
-    } else if (a.rfind("--adaptive=", 0) == 0) {
-      bad = !parse_onoff(a.substr(11), g_ablation.adaptive);
-    } else if (a.rfind("--simplify=", 0) == 0) {
-      bad = !parse_onoff(a.substr(11), g_ablation.simplify);
-    } else if (a.rfind("--proof=", 0) == 0) {
-      bad = !parse_onoff(a.substr(8), g_ablation.proof);
-    } else if (a.rfind("--chrono-threshold=", 0) == 0) {
-      g_ablation.chrono_threshold =
-          static_cast<std::uint32_t>(std::atoi(argv[i] + 19));
-    } else if (a.rfind("--vivify-interval=", 0) == 0) {
-      g_ablation.vivify_interval =
-          static_cast<std::uint64_t>(std::atoll(argv[i] + 18));
-    } else if (a.rfind("--vivify-effort=", 0) == 0) {
-      g_ablation.vivify_effort =
-          static_cast<std::uint32_t>(std::atoi(argv[i] + 16));
     } else {
       passthrough.push_back(argv[i]);
     }
@@ -945,7 +719,6 @@ int main(int argc, char** argv) {
     }
   }
   if (smoke) return run_smoke();
-  if (smoke_circuit) return run_smoke_circuit();
   if (json_path != nullptr) return run_json(json_path, repeats);
   int pargc = static_cast<int>(passthrough.size());
   benchmark::Initialize(&pargc, passthrough.data());

@@ -6,10 +6,11 @@
 //
 //   $ ./circuit_vs_cnf [--instances=N] [--seed=S] [--race=on|off]
 //
-// Exits non-zero if any circuit verdict disagrees with the CNF verdict or
-// any SAT witness fails to drive the miter output true — the two backends
-// decide the same question over different encodings, so disagreement is a
-// soundness bug, never a tuning artifact.
+// Exits non-zero if any backend returns UNKNOWN, any circuit verdict
+// disagrees with the CNF verdict, any SAT witness fails to drive the miter
+// output true, or the suite does not cover both SAT and UNSAT — the two
+// backends decide the same question over different encodings, so
+// disagreement is a soundness bug, never a tuning artifact.
 
 #include <cstdio>
 #include <cstdlib>
@@ -75,6 +76,7 @@ int main(int argc, char** argv) {
   std::printf("%-28s %-8s %-8s %12s %12s %10s\n", "instance", "circuit",
               "cnf", "gate-props", "cnf-props", "frontier");
   std::uint64_t circuit_wins = 0, cnf_wins = 0;
+  int sat_count = 0, unsat_count = 0;
   int failures = 0;
   for (const gen::Instance& inst : suite) {
     // Circuit backend: no CNF ever exists; the solver assigns AIG nodes.
@@ -106,12 +108,23 @@ int main(int argc, char** argv) {
                 static_cast<unsigned long long>(cnf_stats.propagations),
                 static_cast<unsigned long long>(circ.stats.max_frontier));
 
+    if (circ.status == sat::Status::kUnknown ||
+        cnf_status == sat::Status::kUnknown) {
+      std::fprintf(stderr, "FAIL %s: a backend returned UNKNOWN\n",
+                   inst.name.c_str());
+      ++failures;
+      continue;
+    }
     if (circ.status != cnf_status) {
       std::fprintf(stderr, "FAIL %s: circuit=%s cnf=%s\n", inst.name.c_str(),
                    status_name(circ.status), status_name(cnf_status));
       ++failures;
       continue;
     }
+    if (circ.status == sat::Status::kSat)
+      ++sat_count;
+    else
+      ++unsat_count;
     if (circ.status == sat::Status::kSat &&
         !po_true(inst.circuit, circ.witness)) {
       std::fprintf(stderr, "FAIL %s: circuit witness rejected by the AIG\n",
@@ -147,10 +160,19 @@ int main(int argc, char** argv) {
                 static_cast<unsigned long long>(circuit_wins),
                 static_cast<unsigned long long>(cnf_wins), instances);
   }
+  // The generated mix must exercise both verdicts, or the check silently
+  // degrades into a one-sided one.
+  if (sat_count == 0 || unsat_count == 0) {
+    std::fprintf(stderr, "FAIL: suite did not cover both SAT and UNSAT "
+                         "(%d SAT / %d UNSAT)\n",
+                 sat_count, unsat_count);
+    ++failures;
+  }
   if (failures != 0) {
     std::fprintf(stderr, "%d failure(s)\n", failures);
     return 1;
   }
-  std::printf("all %d instances agree across backends\n", instances);
+  std::printf("all %d instances (%d SAT / %d UNSAT) agree across backends\n",
+              instances, sat_count, unsat_count);
   return 0;
 }

@@ -130,8 +130,8 @@ int main(int argc, char** argv) {
   std::printf("pool/portfolio(%zu):  %zu SAT, %zu UNSAT, %zu UNKNOWN in %.3fs\n",
               portfolio, run.num_sat, run.num_unsat, run.num_unknown,
               run.seconds);
-  std::printf("clause sharing %s (glue<=%u): %llu exported, %llu imported "
-              "across the batch\n",
+  std::printf("clause sharing %s (adaptive glue from %u): %llu exported, "
+              "%llu imported across the batch\n",
               sharing ? "on" : "off", glue,
               static_cast<unsigned long long>(run.clauses_exported),
               static_cast<unsigned long long>(run.clauses_imported));

@@ -41,6 +41,9 @@ struct OccList {
 
 using Kind = SimplifyResult::Reconstruction::Kind;
 
+/// Simplification rounds; each round runs all enabled techniques.
+constexpr int kMaxRounds = 3;
+
 class Simplifier {
  public:
   Simplifier(const Cnf& formula, const SimplifyParams& params)
@@ -71,7 +74,7 @@ class Simplifier {
     // the proof's premise set and must not appear as derivation steps.
     tracing_ = params_.proof != nullptr;
     propagate_units();
-    for (int round = 0; round < params_.max_rounds && !unsat_ && !timed_out_;
+    for (int round = 0; round < kMaxRounds && !unsat_ && !timed_out_;
          ++round) {
       // Pure-literal and BVE sweeps only look at variables whose
       // neighbourhood changed: everything in round 0, the touched set after.

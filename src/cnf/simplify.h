@@ -61,8 +61,6 @@ struct SimplifyParams {
   /// Variables with more than this many occurrences are never eliminated
   /// (quadratic resolvent blow-up guard).
   int bve_occurrence_limit = 16;
-  /// Simplification rounds (each round runs all enabled techniques).
-  int max_rounds = 3;
   /// Budget on resolution steps (subsumption subset tests and BVE
   /// resolvent pairs). Deterministic; once spent, subsumption and BVE stop.
   std::uint64_t max_resolutions = 10'000'000;

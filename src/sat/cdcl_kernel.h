@@ -98,25 +98,18 @@ struct Limits {
 /// ownership; each solver keeps its own copy at construction. Both solvers
 /// take it: the kernel reads the decay, reduction and Luby fields, and
 /// CircuitSolver also reads seed. The rest (EMA restarts, random decisions,
-/// default phase, chrono, vivification) is CNF-solver-only — the circuit
-/// arm keeps Luby restarts and skips chrono/vivification because its gate
-/// clauses are implicit (nothing to vivify) and the frontier bookkeeping
-/// assumes in-order trails.
+/// default phase, chrono and vivification cadence) is CNF-solver-only — the
+/// circuit arm keeps Luby restarts and skips chrono/vivification because
+/// its gate clauses are implicit (nothing to vivify) and the frontier
+/// bookkeeping assumes in-order trails.
 struct SolverConfig {
   enum class Restarts { kLuby, kEma };
 
   Restarts restarts = Restarts::kLuby;
   /// Luby: restart after luby(i) * luby_unit conflicts.
   std::uint32_t luby_unit = 64;
-  /// EMA (Glucose-style): restart when fast LBD average exceeds
-  /// ema_margin * slow average (and at least ema_min_conflicts since last).
-  double ema_fast_alpha = 1.0 / 32.0;
-  double ema_slow_alpha = 1.0 / 16384.0;
-  double ema_margin = 1.25;
-  std::uint32_t ema_min_conflicts = 50;
 
   double var_decay = 0.95;
-  double clause_decay = 0.999;
   bool default_phase = false;  // initial polarity when no saved phase
   /// Probability of a random decision (diversification; 0 disables).
   double random_decision_freq = 0.0;
@@ -125,19 +118,10 @@ struct SolverConfig {
   /// subsequent intervals grow by reduce_increment.
   std::uint64_t reduce_first = 2000;
   std::uint64_t reduce_increment = 300;
-  /// Learnt clauses with LBD <= glue_keep are never deleted.
-  std::uint32_t glue_keep = 2;
 
   std::uint64_t seed = 91648253;
 
-  /// --- inprocessing levers (see sat/solver.h for semantics) ---
-  /// Chronological backtracking master switch. With chrono on, a restart
-  /// also reuses the trail: it backtracks only to the first decision the
-  /// restarted search would make differently (van der Tak et al.) instead
-  /// of to level 0, so the reused prefix is never re-propagated. Restarts
-  /// with inprocessing work pending (import, vivification) still go to
-  /// level 0.
-  bool chrono = true;
+  /// --- inprocessing cadence (see sat/solver.h for semantics) ---
   /// Backjumps deeper than this many levels below the conflict level are
   /// truncated to a single-level backtrack (CaDiCaL's chronolevelim). The
   /// default is deliberately above this suite's trail depths: measured on
@@ -146,17 +130,12 @@ struct SolverConfig {
   /// the deep-trail instances it was designed for while the restart-side
   /// trail reuse carries the wins here.
   std::uint32_t chrono_threshold = 500;
-  /// Clause vivification at restart boundaries.
-  bool vivify = true;
   /// Conflicts between vivification passes.
   std::uint64_t vivify_interval = 3000;
   /// Per-pass propagation budget, as a permille share of the propagations
   /// performed since the previous pass (floor 2000), so vivification effort
   /// scales with search effort instead of dominating small solves.
   std::uint32_t vivify_effort_permille = 50;
-  /// Also vivify irredundant (problem) clauses, shrinking the formula
-  /// itself. Off by default: learnt clauses pay off faster per propagation.
-  bool vivify_irredundant = false;
 
   /// Stand-in for Kissat 4.0: aggressive EMA restarts, fast variable decay.
   static SolverConfig kissat_like() {
@@ -192,6 +171,10 @@ class CdclKernel {
   static constexpr ClauseRef kImplicitTagBase = 0xFFFFFFF0u;
   /// Default for Derived::kImplicitClauses (hidden by CircuitSolver).
   static constexpr bool kImplicitClauses = false;
+  /// Learnt clauses with LBD <= kGlueKeep are never deleted.
+  static constexpr std::uint32_t kGlueKeep = 2;
+  /// Per-conflict clause-activity decay.
+  static constexpr double kClauseDecay = 0.999;
 
   /// Why a variable is assigned: nothing (decision or root unit), an arena
   /// clause, an inline binary clause (aux = the other, false literal), or a
@@ -401,7 +384,7 @@ class CdclKernel {
   /// Attaches a clause (>= 2 literals, lits[0] and lits[1] watched):
   /// binaries go straight into the binary lists (no arena storage, so they
   /// are never deleted), longer clauses into the arena. Learnt clauses get
-  /// the current bump as activity and, at LBD <= glue_keep, the protected
+  /// the current bump as activity and, at LBD <= kGlueKeep, the protected
   /// tier. Returns the reason to use when enqueuing lits[0].
   Reason attach_clause(std::span<const Lit> lits, bool learnt,
                        std::uint32_t lbd) {
@@ -415,7 +398,7 @@ class CdclKernel {
     if (learnt) {
       ClauseArena::Clause c = arena_[cref];
       c.set_activity(static_cast<float>(clause_inc_));
-      if (lbd <= config_.glue_keep) c.set_protect();
+      if (lbd <= kGlueKeep) c.set_protect();
       learnt_refs_.push_back(cref);
     }
     watch_.push((!lits[0]).x, {cref, lits[1]});
@@ -770,7 +753,7 @@ class CdclKernel {
 
   void decay_activities() {
     var_inc_ /= config_.var_decay;
-    clause_inc_ /= config_.clause_decay;
+    clause_inc_ /= kClauseDecay;
   }
 
   // --- checkpoints -----------------------------------------------------------

@@ -12,21 +12,22 @@ namespace csat::sat {
 
 namespace {
 
-/// CSAT_FORCE_INPROCESSING=1 forces chrono + vivification on (with an
-/// aggressive vivify cadence) for every solver regardless of its config —
-/// the sanitizer CI lanes set it so the trail bookkeeping and the fixpoint
-/// import run under ASan/TSan even in suites that ablate them off.
+/// CSAT_FORCE_INPROCESSING=1 shortens the vivification cadence (at most
+/// 200 conflicts between passes, at least a 200 permille budget) for every
+/// solver regardless of its config — the sanitizer CI lanes set it so
+/// vivification's in-place clause shrinking runs under ASan/TSan even on
+/// the short solves of the test suites.
 bool force_inprocessing() {
   static const bool forced = [] {
     const char* env = std::getenv("CSAT_FORCE_INPROCESSING");
     const bool on = env != nullptr && env[0] != '\0' && env[0] != '0';
     if (on) {
-      // Announce once: this overrides explicit solver configs (ablation
+      // Announce once: this overrides explicit solver configs (benchmark
       // runs in a shell with the CI env leaked would otherwise silently
       // measure the wrong configuration).
       std::fprintf(stderr,
-                   "csat: CSAT_FORCE_INPROCESSING=1 — forcing chrono + "
-                   "vivification on in every solver\n");
+                   "csat: CSAT_FORCE_INPROCESSING=1 — forcing an aggressive "
+                   "vivification cadence in every solver\n");
     }
     return on;
   }();
@@ -37,8 +38,6 @@ bool force_inprocessing() {
 Solver::Solver(SolverConfig config)
     : Kernel(config), rng_state_(config.seed | 1) {
   if (force_inprocessing()) {
-    config_.chrono = true;
-    config_.vivify = true;
     config_.vivify_interval = std::min<std::uint64_t>(config_.vivify_interval, 200);
     config_.vivify_effort_permille =
         std::max<std::uint32_t>(config_.vivify_effort_permille, 200);
@@ -295,16 +294,15 @@ bool Solver::vivify_pass() {
 
   // Candidates: learnt tier-2 clauses (LBD above the protected glue band —
   // glue clauses are already tight) that were never vivified before, in
-  // (LBD asc, activity desc) order, then optionally untried irredundant
-  // clauses in arena order. The once-only bit bounds both total vivify
-  // effort and the watch-order perturbation re-propagation causes.
+  // (LBD asc, activity desc) order. The once-only bit bounds both total
+  // vivify effort and the watch-order perturbation re-propagation causes.
   // Reason-locked clauses are skipped: their literals anchor level-0
   // assignments.
   std::vector<ClauseRef> candidates;
   candidates.reserve(learnt_refs_.size());
   for (ClauseRef cr : learnt_refs_) {
     ClauseArena::Clause c = arena_[cr];
-    if (c.garbage() || c.vivify_tried() || c.lbd() <= config_.glue_keep ||
+    if (c.garbage() || c.vivify_tried() || c.lbd() <= kGlueKeep ||
         reason_locked(cr)) {
       continue;
     }
@@ -319,13 +317,6 @@ bool Solver::vivify_pass() {
                 return ca.activity() > cb.activity();
               return a < b;
             });
-  if (config_.vivify_irredundant) {
-    arena_.for_each_clause([&](ClauseRef cr) {
-      ClauseArena::Clause c = arena_[cr];
-      if (!c.learnt() && !c.vivify_tried() && !reason_locked(cr))
-        candidates.push_back(cr);
-    });
-  }
 
   // Budget: a configurable permille share of the propagations performed
   // since the previous pass, so inprocessing effort tracks search effort.
@@ -444,7 +435,7 @@ bool Solver::vivify_one(ClauseRef cref) {
   const std::uint32_t new_lbd =
       std::min(c.lbd(), static_cast<std::uint32_t>(new_size));
   c.set_lbd(new_lbd);
-  if (learnt && new_lbd <= config_.glue_keep) c.set_protect();
+  if (learnt && new_lbd <= kGlueKeep) c.set_protect();
   watch_.push((!kept[0]).x, {cref, kept[1]});
   watch_.push((!kept[1]).x, {cref, kept[0]});
   return true;
@@ -522,16 +513,15 @@ Lit Solver::pick_branch() {
 // --- restarts & reduction ----------------------------------------------------
 
 void Solver::on_conflict_for_restart(std::uint32_t lbd) {
-  ema_fast_ += config_.ema_fast_alpha * (static_cast<double>(lbd) - ema_fast_);
-  ema_slow_ += config_.ema_slow_alpha * (static_cast<double>(lbd) - ema_slow_);
+  ema_fast_ += kEmaFastAlpha * (static_cast<double>(lbd) - ema_fast_);
+  ema_slow_ += kEmaSlowAlpha * (static_cast<double>(lbd) - ema_slow_);
 }
 
 bool Solver::should_restart() const {
   if (config_.restarts == SolverConfig::Restarts::kLuby)
     return luby_restart_due();
   const std::uint64_t since = stats_.conflicts - conflicts_at_restart_;
-  return since >= config_.ema_min_conflicts &&
-         ema_fast_ > config_.ema_margin * ema_slow_;
+  return since >= kEmaMinConflicts && ema_fast_ > kEmaMargin * ema_slow_;
 }
 
 std::uint32_t Solver::reusable_trail_level() {
@@ -588,14 +578,10 @@ void Solver::adapt_sharing(const ClauseExchange::DrainStats& drained) {
   // Lost tickets mean producers lapped this consumer — the ring is flooded,
   // so tighten this worker's export filter; a clean window means headroom,
   // so drift back toward the loose end of the band.
-  const std::uint32_t lo =
-      std::min(sharing_.adaptive_min_lbd, sharing_.adaptive_max_lbd);
-  const std::uint32_t hi =
-      std::max(sharing_.adaptive_min_lbd, sharing_.adaptive_max_lbd);
   if (adapt_lost_ * 10 >= adapt_seen_) {  // >= 10% of the window lost
-    if (export_lbd_ > lo) --export_lbd_;
+    if (export_lbd_ > kAdaptiveMinLbd) --export_lbd_;
   } else if (adapt_lost_ * 100 <= adapt_seen_) {  // <= 1% lost
-    if (export_lbd_ < hi) ++export_lbd_;
+    if (export_lbd_ < kAdaptiveMaxLbd) ++export_lbd_;
   }
   adapt_lost_ = 0;
   adapt_seen_ = 0;
@@ -603,9 +589,7 @@ void Solver::adapt_sharing(const ClauseExchange::DrainStats& drained) {
 
 void Solver::export_clause(std::span<const Lit> lits, std::uint32_t lbd) {
   CSAT_DCHECK(exchange_ != nullptr);
-  const std::uint32_t max_lbd =
-      sharing_.adaptive ? export_lbd_ : sharing_.max_lbd;
-  if (lbd > max_lbd || lits.size() > sharing_.max_size) return;
+  if (lbd > export_lbd_ || lits.size() > sharing_.max_size) return;
   if (shared_hashes_.size() >= kMaxSharedHashes) shared_hashes_.clear();
   if (!shared_hashes_.insert(clause_hash(lits)).second) return;
   exchange_->publish(exchange_id_, lits, lbd);
@@ -650,7 +634,7 @@ bool Solver::import_clauses() {
         import_one(lits, lbd);
       });
   stats_.import_lost += drained.lost;
-  if (sharing_.adaptive) adapt_sharing(drained);
+  adapt_sharing(drained);
   if (ok_ && !propagate().is_none()) ok_ = false;
   return ok_;
 }
@@ -697,7 +681,7 @@ Status Solver::search(const Limits& limits) {
         ok_ = false;
         return proved_unsat();
       }
-      if (config_.chrono && chrono_dirty_) {
+      if (chrono_dirty_) {
         // With out-of-order assignments on the trail the conflict's true
         // level can sit below the decision level: drop to it before
         // analysis. With an in-order trail (chrono_dirty_ clear) the
@@ -734,8 +718,7 @@ Status Solver::search(const Limits& limits) {
       std::uint32_t lbd = 0;
       analyze(confl, learnt, bt_level, lbd);
       std::uint32_t target = bt_level;
-      if (config_.chrono &&
-          decision_level() - bt_level > config_.chrono_threshold) {
+      if (decision_level() - bt_level > config_.chrono_threshold) {
         // Far backjump: keep the trail prefix intact (it would be
         // re-propagated verbatim) and assert the UIP out of order.
         target = decision_level() - 1;
@@ -756,8 +739,7 @@ Status Solver::search(const Limits& limits) {
 
     // Level-0 propagation fixpoint between restarts: a cheap opportunity to
     // drain the exchange early instead of waiting for the next restart.
-    if (decision_level() == 0 && sharing_.import_at_fixpoint &&
-        has_pending_import()) {
+    if (decision_level() == 0 && has_pending_import()) {
       if (!import_clauses()) return proved_unsat();
       continue;  // imported clauses may propagate: find the new fixpoint
     }
@@ -770,15 +752,12 @@ Status Solver::search(const Limits& limits) {
     if (should_restart()) {
       ++stats_.restarts;
       const bool vivify_due =
-          config_.vivify &&
           stats_.conflicts - vivify_conflicts_at_ >= config_.vivify_interval;
       // Inprocessing (import, vivification) needs level 0; plain restarts
-      // with chrono on reuse the trail prefix the restarted search would
-      // redo decision-for-decision.
-      std::uint32_t reuse = 0;
-      if (config_.chrono && !vivify_due && !has_pending_import()) {
-        reuse = reusable_trail_level();
-      }
+      // reuse the trail prefix the restarted search would redo
+      // decision-for-decision.
+      const std::uint32_t reuse =
+          vivify_due || has_pending_import() ? 0 : reusable_trail_level();
       backtrack(reuse);
       if (reuse == 0) {
         if (!import_clauses()) return proved_unsat();

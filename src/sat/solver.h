@@ -14,12 +14,14 @@
 /// heap with phase saving, Glucose-EMA restarts as an alternative to Luby,
 /// and the inprocessing, sharing, proof and assumption layers below.
 ///
-/// Inprocessing (all SolverConfig toggles):
+/// Inprocessing (always on; SolverConfig sets only its cadence):
 ///  * Chronological backtracking: when first-UIP analysis asks for a
 ///    backjump more than chrono_threshold levels below the conflict level,
 ///    the solver backtracks only one level and keeps the intact trail
-///    prefix instead of redoing its propagation. Trail invariants with
-///    chrono on: a literal's recorded level may be *lower* than the
+///    prefix instead of redoing its propagation. A restart likewise keeps
+///    the trail prefix the restarted search would redo decision for
+///    decision (van der Tak et al.) unless import or vivification is due.
+///    Trail invariants: a literal's recorded level may be *lower* than the
 ///    decision level of the trail segment holding it (out-of-order
 ///    assignment — asserting literals are enqueued at their true asserting
 ///    level), every literal of level k still sits at or above the start of
@@ -31,13 +33,14 @@
 ///    repaired by backtracking one more level and propagating that literal
 ///    out of order from the conflict clause (no clause is learned).
 ///  * Clause vivification: at restart boundaries, under a propagation
-///    budget proportional to search effort, learnt (optionally also
-///    irredundant) clauses are re-propagated literal by literal and
+///    budget proportional to search effort, learnt clauses outside the
+///    protected glue tier are re-propagated literal by literal and
 ///    strengthened or deleted in place in the arena (ClauseArena::shrink),
 ///    with LBD and the protected glue tier re-stamped.
 ///  * Clause-exchange import at every decision-level-0 propagation
 ///    fixpoint (not just restarts), plus per-worker adaptive glue export
-///    thresholds driven by observed ring pressure (ClauseSharingOptions).
+///    thresholds driven by observed ring pressure, starting from
+///    ClauseSharingOptions::max_lbd.
 ///
 /// Inprocessing phase ordering at a restart boundary:
 ///   restart backtrack(0) -> import fixpoint (import_clauses) -> vivify
@@ -146,25 +149,16 @@ struct ClauseSharingOptions {
   /// timing depends on thread scheduling, which would break bit-for-bit
   /// reproducibility; see PortfolioOptions::deterministic).
   bool enabled = true;
-  /// Only learnt clauses with LBD <= max_lbd are exported ("glue" sharing).
+  /// Starting glue export filter: each worker exports learnt clauses with
+  /// LBD <= its filter, which then moves one step at a time inside [1, 4]
+  /// from the import_lost share it observes, so a loose filter that floods
+  /// the ring self-corrects (a start above 4 only ever tightens).
   std::uint32_t max_lbd = 2;
   /// ... and with at most this many literals.
   std::uint32_t max_size = 8;
   /// Export ring slots; producers overwrite the oldest clause when a
   /// consumer lags more than this many publications behind.
   std::size_t ring_capacity = 1 << 12;
-  /// Per-worker adaptive glue export: each worker starts at max_lbd and
-  /// tightens/loosens its own LBD filter inside
-  /// [adaptive_min_lbd, adaptive_max_lbd] from the import_lost share it
-  /// observes while draining, so loose filters that would flood the ring
-  /// self-correct instead of degrading everyone.
-  bool adaptive = true;
-  std::uint32_t adaptive_min_lbd = 1;
-  std::uint32_t adaptive_max_lbd = 4;
-  /// Workers also drain the ring at decision-level-0 propagation fixpoints
-  /// between restarts, not just at restart boundaries: level-0 visits are
-  /// cheap import opportunities that shorten the foreign-clause latency.
-  bool import_at_fixpoint = true;
 };
 
 /// Thread model: a Solver instance is confined to one thread at a time (no
@@ -363,7 +357,8 @@ class Solver : private CdclKernel<Solver, Stats> {
            exchange_->published() > exchange_cursor_.next;
   }
   /// Adaptive glue export: folds one drain's delivered/lost counts into the
-  /// pressure window and moves export_lbd_ inside the configured band.
+  /// pressure window and moves export_lbd_ inside
+  /// [kAdaptiveMinLbd, kAdaptiveMaxLbd].
   void adapt_sharing(const ClauseExchange::DrainStats& drained);
 
   /// Shared epilogue of every UNSAT exit from solve(): emits the empty
@@ -377,7 +372,13 @@ class Solver : private CdclKernel<Solver, Stats> {
   std::vector<std::int32_t> heap_pos_;  // -1 when absent
   std::vector<std::uint32_t> heap_;     // binary max-heap of vars
 
-  // restart state
+  // restart state: Glucose-style EMA restarts fire when the fast LBD
+  // average exceeds kEmaMargin times the slow one, at least
+  // kEmaMinConflicts conflicts after the previous restart.
+  static constexpr double kEmaFastAlpha = 1.0 / 32.0;
+  static constexpr double kEmaSlowAlpha = 1.0 / 16384.0;
+  static constexpr double kEmaMargin = 1.25;
+  static constexpr std::uint64_t kEmaMinConflicts = 50;
   double ema_fast_ = 0.0;
   double ema_slow_ = 0.0;
 
@@ -395,8 +396,10 @@ class Solver : private CdclKernel<Solver, Stats> {
   std::size_t exchange_id_ = 0;
   ClauseSharingOptions sharing_;
   ClauseExchange::Cursor exchange_cursor_;
-  /// Effective export LBD filter: sharing_.max_lbd, moved inside the
-  /// adaptive band by adapt_sharing() when sharing_.adaptive is set.
+  /// Effective export LBD filter: starts at sharing_.max_lbd and is moved
+  /// inside the adaptive band by adapt_sharing().
+  static constexpr std::uint32_t kAdaptiveMinLbd = 1;
+  static constexpr std::uint32_t kAdaptiveMaxLbd = 4;
   std::uint32_t export_lbd_ = 0;
   /// Ring-pressure window for adapt_sharing(): lost vs total tickets seen.
   std::uint64_t adapt_lost_ = 0;

@@ -12,9 +12,14 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstdlib>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "cnf/cnf_to_aig.h"
+#include "cnf/tseitin.h"
+#include "gen/miter.h"
 #include "sat/circuit_solver.h"
 #include "sat/portfolio.h"
 #include "sat/solver.h"
@@ -116,10 +121,8 @@ SolverConfig churn_config() {
   cfg.reduce_first = 60;
   cfg.reduce_increment = 15;
   cfg.luby_unit = 16;
-  cfg.vivify = true;
   cfg.vivify_interval = 100;
   cfg.vivify_effort_permille = 300;
-  cfg.vivify_irredundant = true;
   return cfg;
 }
 
@@ -248,6 +251,63 @@ TEST(CdclKernel, BudgetsCountFromEachSolveCallOnBothEngines) {
   slices(circuit_solver, "circuit slice ");
   EXPECT_TRUE(cnf_solver.check_watches());
   EXPECT_TRUE(circuit_solver.check_justification());
+}
+
+TEST(CdclKernel, PresetSearchIsPinned) {
+  // Golden search counters of both presets: chrono, trail reuse and
+  // vivification are unconditional and the EMA/decay/glue tuning values
+  // are constants, so any change to them (or to anything else on the
+  // search path) moves at least one of these numbers. Regenerate only for
+  // an intended search change, and say so.
+  if (const char* env = std::getenv("CSAT_FORCE_INPROCESSING");
+      env != nullptr && env[0] != '\0' && env[0] != '0') {
+    GTEST_SKIP() << "CSAT_FORCE_INPROCESSING changes the vivify cadence";
+  }
+  struct Pin {
+    std::uint64_t conflicts, decisions, reused_trails, vivified_clauses;
+  };
+  const std::vector<std::pair<std::string, Cnf>> instances = [] {
+    std::vector<std::pair<std::string, Cnf>> v;
+    v.emplace_back("pigeonhole(7)", pigeonhole(7));
+    v.emplace_back("adder_miter(32)",
+                   cnf::tseitin_encode(gen::make_adder_miter(32)).cnf);
+    for (std::uint64_t seed = 1; seed <= 4; ++seed)
+      v.emplace_back("random_3sat(150, " + std::to_string(seed) + ")",
+                     random_3sat(150, 639, seed));
+    return v;
+  }();
+  // {kissat_like, cadical_like} per instance, in instance order.
+  const Pin expected[][2] = {
+      {{4760, 6331, 72, 32}, {2156, 2602, 10, 0}},   // pigeonhole(7)
+      {{1462, 3776, 5, 0}, {1978, 4350, 2, 0}},      // adder_miter(32)
+      {{2549, 3121, 37, 0}, {2325, 2806, 12, 0}},    // random_3sat seed 1
+      {{2982, 3754, 43, 0}, {3465, 4137, 14, 141}},  // random_3sat seed 2
+      {{1460, 1866, 25, 0}, {1036, 1383, 5, 0}},     // random_3sat seed 3
+      {{1162, 1418, 13, 0}, {1234, 1470, 6, 0}},     // random_3sat seed 4
+  };
+  ASSERT_EQ(std::size(expected), instances.size());
+  std::uint64_t reused = 0, vivified = 0;
+  for (std::size_t i = 0; i < instances.size(); ++i) {
+    for (int p = 0; p < 2; ++p) {
+      const SolverConfig cfg = p == 0 ? SolverConfig::kissat_like()
+                                      : SolverConfig::cadical_like();
+      const auto r = solve_cnf(instances[i].second, cfg);
+      ASSERT_NE(r.status, Status::kUnknown);
+      const Stats& s = r.stats;
+      const Pin& e = expected[i][p];
+      EXPECT_TRUE(s.conflicts == e.conflicts && s.decisions == e.decisions &&
+                  s.reused_trails == e.reused_trails &&
+                  s.vivified_clauses == e.vivified_clauses)
+          << instances[i].first << (p == 0 ? " kissat_like" : " cadical_like")
+          << ": got {" << s.conflicts << ", " << s.decisions << ", "
+          << s.reused_trails << ", " << s.vivified_clauses << "}";
+      reused += s.reused_trails;
+      vivified += s.vivified_clauses;
+    }
+  }
+  // The pin must cover the now-unconditional levers, not just plain CDCL.
+  EXPECT_GT(reused, 0u);
+  EXPECT_GT(vivified, 0u);
 }
 
 TEST(CdclKernel, CircuitArmMinimizesLearntClausesRecursively) {

@@ -208,38 +208,31 @@ TEST(FuzzDifferential, GcChurnUnderSharing) {
 }
 
 TEST(FuzzDifferential, InprocessingLeverMatrix) {
-  // chrono x vivify x adaptive-sharing x cnf-simplify x preset axes:
-  // every lever combination must agree with the all-off sequential
-  // baseline, sequentially and through a 4-worker portfolio, and every SAT
-  // verdict's model must check out (against the ORIGINAL formula when the
-  // simplify lever rewrote it). The preset lever swaps the sequential
-  // solver and the portfolio's lead worker between the kissat-like preset
-  // (EMA restarts) and the cadical-like one (Luby restarts, slower decay,
-  // larger learnt DB), so each inprocessing combination runs under both
-  // restart policies and reduction schedules.
+  // cnf-simplify x preset axes, every arm on inprocessing schedules
+  // aggressive enough that chrono truncation, trail reuse and vivification
+  // fire on these small instances: every combination must agree with a
+  // default kissat-like sequential baseline, sequentially and through a
+  // 4-worker portfolio (fixpoint import and adaptive glue export on), and
+  // every SAT verdict's model must check out (against the ORIGINAL formula
+  // when the simplify lever rewrote it). The preset lever swaps the
+  // sequential solver and the portfolio's lead worker between the
+  // kissat-like preset (EMA restarts) and the cadical-like one (Luby
+  // restarts, slower decay, larger learnt DB), so inprocessing runs under
+  // both restart policies and reduction schedules.
   struct Levers {
-    bool chrono;
-    bool vivify;
-    bool adaptive;
     bool simplify;
     bool cadical;
   };
   const Levers combos[] = {
-      {true, false, false, false, false}, {false, true, false, false, true},
-      {true, true, false, false, true},   {true, true, true, false, false},
-      {false, false, false, true, false}, {false, false, false, true, true},
-      {true, true, true, true, false},    {true, true, true, true, true},
-  };
+      {false, false}, {false, true}, {true, false}, {true, true}};
   Rng rng(0x1E7E85);
   for (int i = 0; i < 40; ++i) {
     const int vars = 20 + static_cast<int>(rng.next_below(31));
     const double ratio = 3.6 + 0.01 * static_cast<double>(rng.next_below(141));
     const cnf::Cnf f = random_3sat(
         vars, static_cast<int>(vars * ratio), rng.next_u64());
-    sat::SolverConfig off = sat::SolverConfig::kissat_like();
-    off.chrono = false;
-    off.vivify = false;
-    const auto baseline = sat::solve_cnf(f, off);
+    const auto baseline =
+        sat::solve_cnf(f, sat::SolverConfig::kissat_like());
     ASSERT_NE(baseline.status, sat::Status::kUnknown) << i;
     if (baseline.status == sat::Status::kSat) {
       EXPECT_TRUE(check_model(f, baseline.model)) << i;
@@ -271,13 +264,11 @@ TEST(FuzzDifferential, InprocessingLeverMatrix) {
       const auto lift = [&](const std::vector<bool>& model) {
         return lv.simplify ? pre.extend_model(model) : model;
       };
-      // Sequential with the lever set, on aggressive schedules so the
-      // levers actually fire on these small instances.
+      // Sequential on aggressive schedules so inprocessing actually fires
+      // on these small instances.
       sat::SolverConfig on = lv.cadical ? sat::SolverConfig::cadical_like()
                                         : sat::SolverConfig::kissat_like();
-      on.chrono = lv.chrono;
       on.chrono_threshold = 2;
-      on.vivify = lv.vivify;
       on.vivify_interval = 50;
       std::optional<sat::RemapTracer> remap;
       if (lv.simplify) remap.emplace(proof, pre.inverse_map);
@@ -285,37 +276,30 @@ TEST(FuzzDifferential, InprocessingLeverMatrix) {
                                        : &proof;
       const auto seq = sat::solve_cnf(*target, on, {}, tracer);
       EXPECT_EQ(seq.status, baseline.status)
-          << i << " chrono=" << lv.chrono << " vivify=" << lv.vivify
-          << " simplify=" << lv.simplify << " cadical=" << lv.cadical;
+          << i << " simplify=" << lv.simplify << " cadical=" << lv.cadical;
       if (seq.status == sat::Status::kSat) {
         EXPECT_TRUE(check_model(f, lift(seq.model))) << i;
       }
       if (seq.status == sat::Status::kUnsat) {
         const auto res = sat::check_drat(f, proof);
-        EXPECT_TRUE(res.valid) << i << " chrono=" << lv.chrono
-                               << " vivify=" << lv.vivify
-                               << " simplify=" << lv.simplify << ": "
+        EXPECT_TRUE(res.valid) << i << " simplify=" << lv.simplify
+                               << " cadical=" << lv.cadical << ": "
                                << res.error;
         EXPECT_TRUE(res.proved_unsat) << i;
       }
-      // Portfolio: diversified workers all with the lever set, plus the
-      // sharing-side levers (fixpoint import, adaptive glue export).
+      // Portfolio: diversified workers on the same aggressive schedules,
+      // sharing clauses.
       sat::PortfolioOptions opt;
       opt.configs = sat::default_portfolio(4);
       if (lv.cadical) opt.configs[0] = sat::SolverConfig::cadical_like();
       for (auto& cfg : opt.configs) {
-        cfg.chrono = lv.chrono;
         cfg.chrono_threshold = 2;
-        cfg.vivify = lv.vivify;
         cfg.vivify_interval = 50;
       }
       opt.sharing.enabled = true;
-      opt.sharing.adaptive = lv.adaptive;
-      opt.sharing.import_at_fixpoint = lv.adaptive;
       const auto par = sat::solve_portfolio(*target, opt);
       EXPECT_EQ(par.status, baseline.status)
-          << i << " chrono=" << lv.chrono << " vivify=" << lv.vivify
-          << " adaptive=" << lv.adaptive << " simplify=" << lv.simplify;
+          << i << " simplify=" << lv.simplify << " cadical=" << lv.cadical;
       if (par.status == sat::Status::kSat) {
         EXPECT_TRUE(check_model(f, lift(par.model))) << i;
       }

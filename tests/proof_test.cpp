@@ -325,9 +325,7 @@ TEST(SolverProof, InprocessingLeversKeepProofsValid) {
   // aggressive GC schedule, and chronological backtracking all emit into
   // the same stream; a missing or misordered step breaks RUP here.
   sat::SolverConfig cfg;
-  cfg.chrono = true;
   cfg.chrono_threshold = 2;
-  cfg.vivify = true;
   cfg.vivify_interval = 1;
   cfg.vivify_effort_permille = 1000;
   cfg.restarts = sat::SolverConfig::Restarts::kLuby;
