@@ -83,8 +83,6 @@ class Aig {
   /// Derived connectives (expressed over and2; kept here because every layer
   /// of the system builds logic through them).
   Lit or2(Lit a, Lit b) { return !and2(!a, !b); }
-  Lit nand2(Lit a, Lit b) { return !and2(a, b); }
-  Lit nor2(Lit a, Lit b) { return and2(!a, !b); }
   Lit xor2(Lit a, Lit b) { return !and2(!and2(a, !b), !and2(!a, b)); }
   Lit xnor2(Lit a, Lit b) { return !xor2(a, b); }
   /// if s then t else e.

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <mutex>
 #include <thread>
 
 #include "common/check.h"
@@ -16,9 +15,10 @@ BatchResult run_batch(const std::vector<aig::Aig>& instances,
   batch.results.resize(instances.size());
   if (instances.empty()) return batch;
   CSAT_CHECK_MSG(options.pipeline.proof == nullptr,
-                 "run_batch: use BatchOptions::proof_sink for proofs — a "
-                 "single PipelineOptions::proof tracer would interleave "
-                 "steps across worker threads");
+                 "run_batch: PipelineOptions::proof must be null — one "
+                 "tracer shared by the workers would interleave their "
+                 "steps; solve each instance with solve_instance() to get "
+                 "its proof");
 
   std::size_t workers = options.num_workers;
   if (workers == 0) {
@@ -37,7 +37,6 @@ BatchResult run_batch(const std::vector<aig::Aig>& instances,
 
   Stopwatch total;
   std::atomic<std::size_t> next{0};
-  std::mutex callback_mutex;
 
   auto drain = [&]() {
     for (;;) {
@@ -48,23 +47,13 @@ BatchResult run_batch(const std::vector<aig::Aig>& instances,
       // early return would silently drop every remaining instance. A throw
       // costs exactly one result (kUnknown + .error) and the drain goes on.
       try {
-        if (options.proof_sink) {
-          PipelineOptions popt = options.pipeline;
-          popt.proof = options.proof_sink(i);
-          batch.results[i] = solve_instance(instances[i], popt);
-        } else {
-          batch.results[i] = solve_instance(instances[i], options.pipeline);
-        }
+        batch.results[i] = solve_instance(instances[i], options.pipeline);
       } catch (const std::exception& e) {
         batch.results[i] = PipelineResult{};
         batch.results[i].error = e.what();
       } catch (...) {
         batch.results[i] = PipelineResult{};
         batch.results[i].error = "non-standard exception";
-      }
-      if (options.on_result) {
-        const std::lock_guard<std::mutex> lock(callback_mutex);
-        options.on_result(i, batch.results[i]);
       }
     }
   };
@@ -80,13 +69,8 @@ BatchResult run_batch(const std::vector<aig::Aig>& instances,
 
   batch.seconds = total.seconds();
   for (const PipelineResult& r : batch.results) {
-    if (!r.error.empty()) ++batch.num_faults;
     batch.clauses_exported += r.clauses_exported;
     batch.clauses_imported += r.clauses_imported;
-    const cnf::SimplifyStats& s = r.simplify_stats;
-    batch.simplify_fixed_literals += s.fixed_units + s.pure_literals;
-    batch.simplify_eliminated_vars += s.eliminated_vars;
-    batch.simplify_removed_clauses += s.removed_clauses;
     switch (r.status) {
       case sat::Status::kSat:
         ++batch.num_sat;

@@ -13,7 +13,7 @@
 /// ROADMAP's scale goals build on: N instances in flight, M cores busy.
 
 #include <cstddef>
-#include <functional>
+#include <cstdint>
 #include <vector>
 
 #include "aig/aig.h"
@@ -23,23 +23,13 @@ namespace csat::core {
 
 struct BatchOptions {
   /// Per-instance pipeline configuration (mode, solver backend, budgets).
+  /// Its proof tracer must be null (run_batch checks): one tracer shared by
+  /// the workers would interleave their steps.
   PipelineOptions pipeline;
   /// Worker threads; 0 means std::thread::hardware_concurrency(), divided
   /// by portfolio_size when the portfolio backend is selected (each
   /// instance then spawns its own solver threads).
   std::size_t num_workers = 0;
-  /// Optional completion hook, called once per finished instance from the
-  /// worker that ran it (guarded by an internal mutex, so the callback may
-  /// touch shared state). Receives the input-order index and the result.
-  std::function<void(std::size_t, const PipelineResult&)> on_result;
-  /// Per-instance DRAT proof sinks: instance i runs with proof_sink(i) as
-  /// its PipelineOptions::proof (return nullptr to skip an instance). This
-  /// is the only way to get proofs out of a batch — PipelineOptions::proof
-  /// must stay null here, because one shared tracer would interleave steps
-  /// across worker threads (run_batch enforces this). Called from worker
-  /// threads, unserialized: each index must get its own tracer. Requires
-  /// the kSingle backend, like every proof path.
-  std::function<sat::ProofTracer*(std::size_t)> proof_sink;
 };
 
 struct BatchResult {
@@ -48,20 +38,15 @@ struct BatchResult {
   double seconds = 0.0;  ///< wall-clock time of the whole batch
   std::size_t num_sat = 0;
   std::size_t num_unsat = 0;
-  std::size_t num_unknown = 0;  ///< per-instance budget exhaustions
-  /// Instances whose pipeline run threw (result carries .error and counts
-  /// toward num_unknown). The batch always completes: a poisoned instance
-  /// costs its own result, never its worker thread or siblings' results.
-  std::size_t num_faults = 0;
+  /// Per-instance budget exhaustions, plus instances whose pipeline run
+  /// threw (their result carries .error). The batch always completes: a
+  /// poisoned instance costs its own result, never its worker thread or
+  /// siblings' results.
+  std::size_t num_unknown = 0;
   /// Clause-sharing totals summed over every instance's portfolio workers
   /// (zero for the single-solver backend or with sharing disabled).
   std::uint64_t clauses_exported = 0;
   std::uint64_t clauses_imported = 0;
-  /// CNF-preprocessing totals summed over the batch (zero when the
-  /// pipeline runs with cnf_simplify off).
-  std::uint64_t simplify_fixed_literals = 0;  ///< units + pures
-  std::uint64_t simplify_eliminated_vars = 0; ///< BVE
-  std::uint64_t simplify_removed_clauses = 0;
 };
 
 /// Runs every instance through the configured pipeline on a worker pool.

@@ -64,8 +64,6 @@ class Preprocessor {
   /// Runs Algorithm 1 on \p instance, consulting \p policy for each step.
   PreprocessResult run(const aig::Aig& instance, rl::Policy& policy) const;
 
-  [[nodiscard]] const PreprocessOptions& options() const { return options_; }
-
  private:
   PreprocessOptions options_;
 };

@@ -292,7 +292,6 @@ class SolveServer {
 
   [[nodiscard]] ServerCounters counters() const;
   [[nodiscard]] CacheCounters cache_counters() const { return cache_.counters(); }
-  [[nodiscard]] const ServerOptions& options() const { return options_; }
 
  private:
   /// Per-worker cancellation slot. Every solve's Limits::terminate points

@@ -79,7 +79,6 @@ CutEnumerator::CutEnumerator(const aig::Aig& g, const CutParams& params)
       unit.func = tt::TruthTable::projection(1, 0);
       cuts_[n].push_back(std::move(unit));
     }
-    total_cuts_ += cuts_[n].size();
   }
 }
 

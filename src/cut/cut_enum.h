@@ -54,14 +54,12 @@ class CutEnumerator {
   }
 
   [[nodiscard]] const CutParams& params() const { return params_; }
-  [[nodiscard]] std::size_t total_cuts() const { return total_cuts_; }
 
  private:
   void merge_node(const aig::Aig& g, std::uint32_t n);
 
   CutParams params_;
   std::vector<std::vector<Cut>> cuts_;
-  std::size_t total_cuts_ = 0;
 };
 
 /// Re-expresses \p t (a function over \p from leaves) over the superset

@@ -174,29 +174,34 @@ Instance make_atpg_instance(Family family, int width, std::uint64_t seed,
   return inst;
 }
 
-/// One instance worth of RNG draws + construction. make_suite and
-/// make_suite_instance both route through here so the draw sequence (and
-/// therefore every generated circuit) stays identical between them.
-Instance draw_instance(const SuiteParams& params, Rng& rng, int i) {
-  const Family family = pick_family(params, rng);
-  const FamilyRange& fr = range_of(params, family);
+/// Everything one suite instance draws from the suite RNG. make_suite and
+/// make_suite_instance both draw through draw_spec, so skipping an instance
+/// consumes exactly the draws building it would.
+struct InstanceSpec {
+  Family family = Family::kMultiplier;
+  int width = 0;
+  std::uint64_t seed = 0;
+  bool atpg = false;
+  bool bug = false;  ///< LEC only: no draw is taken for ATPG instances
+};
+
+InstanceSpec draw_spec(const SuiteParams& params, Rng& rng) {
+  InstanceSpec spec;
+  spec.family = pick_family(params, rng);
+  const FamilyRange& fr = range_of(params, spec.family);
   CSAT_CHECK(fr.min_width >= 2 && fr.max_width >= fr.min_width);
-  const int width = static_cast<int>(rng.next_int(fr.min_width, fr.max_width));
-  const std::uint64_t inst_seed = rng.next_u64();
-  if (rng.next_double() < params.atpg_fraction)
-    return make_atpg_instance(family, width, inst_seed, i);
-  const bool bug = rng.next_double() < params.bug_fraction;
-  return make_lec_instance(family, width, bug, inst_seed, i);
+  spec.width = static_cast<int>(rng.next_int(fr.min_width, fr.max_width));
+  spec.seed = rng.next_u64();
+  spec.atpg = rng.next_double() < params.atpg_fraction;
+  spec.bug = !spec.atpg && rng.next_double() < params.bug_fraction;
+  return spec;
 }
 
-/// Consumes exactly the RNG draws draw_instance would, building nothing.
-void skip_instance(const SuiteParams& params, Rng& rng) {
-  const Family family = pick_family(params, rng);
-  const FamilyRange& fr = range_of(params, family);
-  CSAT_CHECK(fr.min_width >= 2 && fr.max_width >= fr.min_width);
-  (void)rng.next_int(fr.min_width, fr.max_width);
-  (void)rng.next_u64();
-  if (!(rng.next_double() < params.atpg_fraction)) (void)rng.next_double();
+Instance build_instance(const InstanceSpec& spec, int index) {
+  return spec.atpg
+             ? make_atpg_instance(spec.family, spec.width, spec.seed, index)
+             : make_lec_instance(spec.family, spec.width, spec.bug, spec.seed,
+                                 index);
 }
 
 }  // namespace
@@ -206,7 +211,7 @@ std::vector<Instance> make_suite(const SuiteParams& params) {
   std::vector<Instance> suite;
   suite.reserve(params.count);
   for (int i = 0; i < params.count; ++i)
-    suite.push_back(draw_instance(params, rng, i));
+    suite.push_back(build_instance(draw_spec(params, rng), i));
   return suite;
 }
 
@@ -214,8 +219,8 @@ Instance make_suite_instance(const SuiteParams& params, int index) {
   CSAT_CHECK_MSG(index >= 0 && index < params.count,
                  "make_suite_instance: index out of range");
   Rng rng(params.seed);
-  for (int i = 0; i < index; ++i) skip_instance(params, rng);
-  return draw_instance(params, rng, index);
+  for (int i = 0; i < index; ++i) (void)draw_spec(params, rng);
+  return build_instance(draw_spec(params, rng), index);
 }
 
 std::vector<Instance> make_training_suite(int count, std::uint64_t seed) {

@@ -54,7 +54,6 @@ class DqnAgent {
 
   [[nodiscard]] double epsilon() const;
   [[nodiscard]] const DqnConfig& config() const { return config_; }
-  [[nodiscard]] std::size_t replay_size() const { return replay_.size(); }
 
   void save(std::ostream& out) const { online_.save(out); }
   void load(std::istream& in);

@@ -172,8 +172,6 @@ class ClauseArena {
   }
   /// Words occupied by garbage clauses — the payoff of the next compact().
   [[nodiscard]] std::size_t garbage_words() const { return garbage_words_; }
-  /// Clauses not marked garbage.
-  [[nodiscard]] std::size_t live_clauses() const { return live_clauses_; }
 
   /// Mark-compact step 1: moves every non-garbage clause into fresh storage
   /// (in address order) and stores a forwarding reference in the old
@@ -194,7 +192,6 @@ class ClauseArena {
     data_.clear();
     old_.clear();
     garbage_words_ = 0;
-    live_clauses_ = 0;
   }
 
  private:
@@ -216,7 +213,6 @@ class ClauseArena {
   /// Pre-compaction storage, holding forwarding addresses mid-collection.
   std::vector<std::uint32_t> old_;
   std::size_t garbage_words_ = 0;
-  std::size_t live_clauses_ = 0;
 };
 
 }  // namespace csat::sat

@@ -28,8 +28,8 @@
 ///
 /// Each solver keeps only its propagator and decision policy: Solver adds
 /// chronological backtracking, EMA restarts, vivification, clause sharing,
-/// DRAT emission, assumptions and the VSIDS heap; CircuitSolver adds gate
-/// evaluation, the justification frontier, the goal clause and finish_sat.
+/// DRAT emission and the VSIDS heap; CircuitSolver adds gate evaluation,
+/// the justification frontier, the goal clause and finish_sat.
 ///
 /// Hooks called on Derived (which befriends the kernel):
 ///  * required: backtrack(level) and memory_bytes();

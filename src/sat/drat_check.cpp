@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <istream>
+#include <limits>
 #include <sstream>
 #include <unordered_map>
 
@@ -323,6 +324,18 @@ bool parse_drat_text(std::istream& in, std::vector<ProofStep>& out,
     if (!(tokens >> first)) continue;  // blank line
     if (first == "c") continue;        // comment
     ProofStep step;
+    // A DIMACS literal is a nonzero int; wider values would wrap in the
+    // narrowing cast and INT_MIN has no negation.
+    const auto push_lit = [&](long long d) {
+      if (d < -std::numeric_limits<int>::max() ||
+          d > std::numeric_limits<int>::max()) {
+        error = "line " + std::to_string(line_no) + ": literal " +
+                std::to_string(d) + " out of range";
+        return false;
+      }
+      step.lits.push_back(Lit::from_dimacs(static_cast<int>(d)));
+      return true;
+    };
     bool terminated = false;
     if (first == "d") {
       step.is_delete = true;
@@ -336,8 +349,8 @@ bool parse_drat_text(std::istream& in, std::vector<ProofStep>& out,
       }
       if (d == 0) {
         terminated = true;
-      } else {
-        step.lits.push_back(Lit::from_dimacs(static_cast<int>(d)));
+      } else if (!push_lit(d)) {
+        return false;
       }
     }
     long long d = 0;
@@ -346,47 +359,11 @@ bool parse_drat_text(std::istream& in, std::vector<ProofStep>& out,
         terminated = true;
         break;
       }
-      step.lits.push_back(Lit::from_dimacs(static_cast<int>(d)));
+      if (!push_lit(d)) return false;
     }
     if (!terminated) {
       error = "line " + std::to_string(line_no) + ": missing terminating 0";
       return false;
-    }
-    out.push_back(std::move(step));
-  }
-  return true;
-}
-
-bool parse_drat_binary(std::istream& in, std::vector<ProofStep>& out,
-                       std::string& error) {
-  int tag;
-  while ((tag = in.get()) != std::char_traits<char>::eof()) {
-    if (tag != 'a' && tag != 'd') {
-      error = "bad step tag byte " + std::to_string(tag);
-      return false;
-    }
-    ProofStep step;
-    step.is_delete = (tag == 'd');
-    for (;;) {
-      std::uint64_t u = 0;
-      int shift = 0;
-      int byte;
-      do {
-        byte = in.get();
-        if (byte == std::char_traits<char>::eof()) {
-          error = "truncated literal";
-          return false;
-        }
-        u |= static_cast<std::uint64_t>(byte & 0x7f) << shift;
-        shift += 7;
-      } while (byte & 0x80);
-      if (u == 0) break;  // end of clause
-      if (u < 2) {
-        error = "bad literal encoding";
-        return false;
-      }
-      step.lits.push_back(
-          Lit::make(static_cast<std::uint32_t>(u / 2 - 1), (u & 1) != 0));
     }
     out.push_back(std::move(step));
   }

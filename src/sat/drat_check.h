@@ -62,13 +62,10 @@ inline DratResult check_drat(const cnf::Cnf& formula, const ProofLog& log) {
 }
 
 /// Parses a text DRAT stream ("1 -2 0", "d 3 0", 'c' comment lines).
-/// Returns false and sets \p error on malformed input.
+/// Returns false and sets \p error (prefixed with the line number) on
+/// malformed input, including a literal outside the nonzero int range.
 bool parse_drat_text(std::istream& in, std::vector<ProofStep>& out,
                      std::string& error);
-
-/// Parses a binary DRAT stream ('a'/'d' tagged, LEB128 literals).
-bool parse_drat_binary(std::istream& in, std::vector<ProofStep>& out,
-                       std::string& error);
 
 }  // namespace csat::sat
 

@@ -74,7 +74,6 @@ void Solver::reset() {
   proof_empty_emitted_ = false;
   rng_state_ = config_.seed | 1;
   model_.clear();
-  assumptions_.clear();
 }
 
 void Solver::set_proof(ProofTracer* tracer) {
@@ -525,7 +524,7 @@ bool Solver::should_restart() const {
 }
 
 std::uint32_t Solver::reusable_trail_level() {
-  if (!assumptions_.empty() || decision_level() == 0) return 0;
+  if (decision_level() == 0) return 0;
   // The restarted search redoes decisions best-activity-first with saved
   // phases, so the prefix up to the first decision that (a) has activity
   // at most the best unassigned variable's, (b) diverges from its saved
@@ -774,22 +773,7 @@ Status Solver::search(const Limits& limits) {
       continue;
     }
 
-    // Assumptions are decided first, in order; a falsified assumption means
-    // UNSAT under the assumption set.
-    Lit next = kLitUndef;
-    while (decision_level() < assumptions_.size()) {
-      const Lit p = assumptions_[decision_level()];
-      if (value(p) == kTrue) {
-        trail_lim_.push_back(static_cast<std::uint32_t>(trail_.size()));
-      } else if (value(p) == kFalse) {
-        backtrack(0);
-        return Status::kUnsat;
-      } else {
-        next = p;
-        break;
-      }
-    }
-    if (next == kLitUndef) next = pick_branch();
+    const Lit next = pick_branch();
     if (next == kLitUndef) {
       model_.assign(num_vars(), false);
       for (std::uint32_t v = 0; v < num_vars(); ++v)
@@ -799,18 +783,6 @@ Status Solver::search(const Limits& limits) {
     }
     decide(next);
   }
-}
-
-Status Solver::solve_assuming(std::span<const Lit> assumptions,
-                              const Limits& limits) {
-  CSAT_CHECK_MSG(proof_ == nullptr || assumptions.empty(),
-                 "proof emission covers plain solve() only: UNSAT under "
-                 "assumptions is not a refutation of the formula");
-  assumptions_.assign(assumptions.begin(), assumptions.end());
-  for (Lit l : assumptions_) CSAT_CHECK(l.var() < num_vars());
-  const Status result = solve(limits);
-  assumptions_.clear();
-  return result;
 }
 
 SolveResult solve_cnf(const Cnf& formula, const SolverConfig& config,

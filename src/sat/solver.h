@@ -12,7 +12,7 @@
 /// learnt-DB reduction with mark-compact GC, the Limits checkpoints and the
 /// Luby schedule. This class adds what is CNF-specific: the EVSIDS decision
 /// heap with phase saving, Glucose-EMA restarts as an alternative to Luby,
-/// and the inprocessing, sharing, proof and assumption layers below.
+/// and the inprocessing, sharing and proof layers below.
 ///
 /// Inprocessing (always on; SolverConfig sets only its cadence):
 ///  * Chronological backtracking: when first-UIP analysis asks for a
@@ -203,13 +203,6 @@ class Solver : private CdclKernel<Solver, Stats> {
   /// called while solve() is running.
   void reset();
 
-  /// Solves under temporary assumptions (decided, in order, before any free
-  /// decision). kUnsat means unsatisfiable *under the assumptions*; the
-  /// clause database and learned facts persist, enabling incremental use
-  /// (e.g. one fault-site assumption set per ATPG query).
-  Status solve_assuming(std::span<const Lit> assumptions,
-                        const Limits& limits = {});
-
   /// Connects this solver to a portfolio clause exchange as worker
   /// \p worker_id. Learnt clauses passing \p sharing's export filter are
   /// published after conflict analysis; foreign clauses are drained by
@@ -229,9 +222,7 @@ class Solver : private CdclKernel<Solver, Stats> {
   /// add_clause() receive afterwards. Mutually exclusive with
   /// connect_exchange(): imported clauses are derived in *another*
   /// worker's search and are not RUP-derivable here, so proof mode is
-  /// sequential-only (solve_portfolio() enforces the same rule). Also
-  /// mutually exclusive with solve_assuming(): an assumption-scoped UNSAT
-  /// is not a refutation of the formula.
+  /// sequential-only (solve_portfolio() enforces the same rule).
   void set_proof(ProofTracer* tracer);
 
   /// Drains foreign clauses from the connected exchange into the clause
@@ -343,8 +334,7 @@ class Solver : private CdclKernel<Solver, Stats> {
   /// Deepest decision level whose prefix the restarted search would rebuild
   /// verbatim (every kept decision has higher EVSIDS activity than the best
   /// unassigned variable and matches its saved phase) — restarting to that
-  /// level instead of 0 skips the redundant re-propagation. Returns 0 when
-  /// assumptions are active (their levels must be re-decided in order).
+  /// level instead of 0 skips the redundant re-propagation.
   [[nodiscard]] std::uint32_t reusable_trail_level();
 
   // --- clause sharing ---
@@ -375,6 +365,10 @@ class Solver : private CdclKernel<Solver, Stats> {
   // restart state: Glucose-style EMA restarts fire when the fast LBD
   // average exceeds kEmaMargin times the slow one, at least
   // kEmaMinConflicts conflicts after the previous restart.
+  // Known flaw, kept because search is pinned to it: ema_slow_ starts at 0
+  // and, with no bias correction, takes ~16k conflicts to approach the true
+  // LBD mean, so the margin test almost always passes and restarts fall
+  // back to a fixed kEmaMinConflicts schedule (~50 conflicts apart).
   static constexpr double kEmaFastAlpha = 1.0 / 32.0;
   static constexpr double kEmaSlowAlpha = 1.0 / 16384.0;
   static constexpr double kEmaMargin = 1.25;
@@ -419,7 +413,6 @@ class Solver : private CdclKernel<Solver, Stats> {
 
   std::uint64_t rng_state_;
   std::vector<bool> model_;
-  std::vector<Lit> assumptions_;
 };
 
 /// One-shot convenience: solve \p formula under \p config and \p limits.

@@ -389,26 +389,6 @@ TEST(BatchRunner, MatchesSequentialAnswers) {
   EXPECT_EQ(ref.num_unsat, run.num_unsat);
 }
 
-TEST(BatchRunner, CompletionCallbackSeesEveryInstance) {
-  gen::SuiteParams params;
-  params.count = 8;
-  params.seed = 23;
-  const auto suite = gen::make_suite(params);
-  std::vector<aig::Aig> circuits;
-  for (const auto& inst : suite) circuits.push_back(inst.circuit);
-
-  std::vector<bool> seen(circuits.size(), false);
-  core::BatchOptions opt;
-  opt.pipeline.mode = core::PipelineMode::kBaseline;
-  opt.num_workers = 3;
-  opt.on_result = [&](std::size_t i, const core::PipelineResult&) {
-    seen[i] = true;
-  };
-  const auto batch = core::run_batch(circuits, opt);
-  EXPECT_EQ(batch.results.size(), circuits.size());
-  for (std::size_t i = 0; i < seen.size(); ++i) EXPECT_TRUE(seen[i]) << i;
-}
-
 TEST(BatchRunner, EmptyBatchIsWellDefined) {
   const auto batch = core::run_batch({}, {});
   EXPECT_TRUE(batch.results.empty());

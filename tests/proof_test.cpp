@@ -234,24 +234,6 @@ TEST(DratFormat, TextRoundTripPreservesEveryStep) {
   EXPECT_EQ(parsed, steps);
 }
 
-TEST(DratFormat, BinaryRoundTripPreservesEveryStep) {
-  const auto steps = random_steps(0xB17A27, 300);
-  std::ostringstream out;
-  sat::BinaryDratWriter writer(out);
-  for (const auto& s : steps) {
-    if (s.is_delete) {
-      writer.remove(s.lits);
-    } else {
-      writer.add(s.lits);
-    }
-  }
-  std::istringstream in(out.str());
-  std::vector<ProofStep> parsed;
-  std::string error;
-  ASSERT_TRUE(sat::parse_drat_binary(in, parsed, error)) << error;
-  EXPECT_EQ(parsed, steps);
-}
-
 TEST(DratFormat, TextParserSkipsCommentsAndRejectsGarbage) {
   {
     std::istringstream in("c preamble\n\n1 -2 0\nd 1 -2 0\n0\n");
@@ -263,22 +245,15 @@ TEST(DratFormat, TextParserSkipsCommentsAndRejectsGarbage) {
     EXPECT_EQ(parsed[1], del_step({lit(1), lit(-2)}));
     EXPECT_EQ(parsed[2], add_step({}));
   }
-  for (const char* bad : {"frog 0\n", "1 2\n"}) {
+  // Literals outside the nonzero int range must not wrap (4294967297 would
+  // narrow to 1) or reach Lit::from_dimacs (which cannot negate INT_MIN).
+  for (const char* bad : {"frog 0\n", "1 2\n", "4294967297 0\n",
+                          "-2147483648 0\n", "1 -2147483648 0\n"}) {
     std::istringstream in(bad);
     std::vector<ProofStep> parsed;
     std::string error;
     EXPECT_FALSE(sat::parse_drat_text(in, parsed, error)) << bad;
-    EXPECT_FALSE(error.empty());
-  }
-}
-
-TEST(DratFormat, BinaryParserRejectsBadTagsAndTruncation) {
-  for (const std::string& bad : {std::string("x"), std::string("a\x82", 2)}) {
-    std::istringstream in(bad);
-    std::vector<ProofStep> parsed;
-    std::string error;
-    EXPECT_FALSE(sat::parse_drat_binary(in, parsed, error));
-    EXPECT_FALSE(error.empty());
+    EXPECT_EQ(error.rfind("line 1: ", 0), 0u) << error;
   }
 }
 
@@ -294,16 +269,6 @@ TEST(ProofTracers, RemapTracerTranslatesBackToOriginalVariables) {
   EXPECT_EQ(log.steps()[0],
             add_step({Lit::make(4, false), Lit::make(2, true)}));
   EXPECT_EQ(log.steps()[1], del_step({Lit::make(0, true)}));
-}
-
-TEST(ProofTracers, TeeTracerForwardsToBothSinks) {
-  ProofLog a;
-  ProofLog b;
-  sat::TeeTracer tee(a, b);
-  tee.add(std::vector<Lit>{lit(1)});
-  tee.remove(std::vector<Lit>{lit(1), lit(2)});
-  EXPECT_EQ(a.steps(), b.steps());
-  ASSERT_EQ(a.steps().size(), 2u);
 }
 
 // --- solver end-to-end ------------------------------------------------------

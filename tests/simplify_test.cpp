@@ -1,6 +1,6 @@
 // Tests for the CNF preprocessing layer (unit propagation, pure literals,
 // subsumption, self-subsuming resolution, bounded variable elimination,
-// variable remapping, budgets, scaling) and for solver assumptions.
+// variable remapping, budgets).
 // Equisatisfiability and model reconstruction are cross-checked against
 // brute force and the CDCL solver.
 
@@ -12,9 +12,7 @@
 #include "cnf/simplify.h"
 #include "cnf/tseitin.h"
 #include "common/rng.h"
-#include "common/stopwatch.h"
 #include "core/preprocessor.h"
-#include "gen/miter.h"
 #include "gen/suite.h"
 #include "rl/policy.h"
 #include "sat/proof.h"
@@ -361,100 +359,5 @@ TEST(Simplify, OutputMatchesParentOnGeneratedFamilies) {
   EXPECT_EQ(hash.value(), 0x68993ea0328e4b54ULL);
 }
 
-// Scaling guard: simplify on the Tseitin CNF of the 512-bit adder miter
-// against the 256-bit one. Linear work scales by ~2.2x; a stage that walks
-// the carry chain from every variable (as failed-literal probing did)
-// scales by ~4x and fails the 3x bound. The sizes alternate and each keeps
-// its fastest run (at least 5 runs, more until the small side has had
-// 0.25 s), so load on a shared machine hits both sides alike.
-TEST(SimplifyScaling, AdderMiter) {
-  const Cnf small = tseitin_encode(gen::make_adder_miter(256)).cnf;
-  const Cnf large = tseitin_encode(gen::make_adder_miter(512)).cnf;
-  double best_small = 1e9;
-  double best_large = 1e9;
-  double total_small = 0;
-  for (int rep = 0; rep < 5 || total_small < 0.25; ++rep) {
-    for (const Cnf* f : {&small, &large}) {
-      Stopwatch watch;
-      (void)simplify(*f);
-      const double s = watch.seconds();
-      if (f == &small) {
-        best_small = std::min(best_small, s);
-        total_small += s;
-      } else {
-        best_large = std::min(best_large, s);
-      }
-    }
-  }
-  EXPECT_LE(best_large / best_small, 3.0);
-}
-
 }  // namespace
 }  // namespace csat::cnf
-
-namespace csat::sat {
-namespace {
-
-using cnf::Lit;
-
-Lit pos(std::uint32_t v) { return Lit::make(v, false); }
-Lit neg(std::uint32_t v) { return Lit::make(v, true); }
-
-TEST(Assumptions, RestrictWithoutPermanence) {
-  Solver s;
-  const auto a = s.new_var();
-  const auto b = s.new_var();
-  ASSERT_TRUE(s.add_clause({pos(a), pos(b)}));
-
-  const Lit assume_na[] = {neg(a)};
-  EXPECT_EQ(s.solve_assuming(assume_na), Status::kSat);
-  EXPECT_TRUE(s.model()[b]);
-
-  const Lit assume_both[] = {neg(a), neg(b)};
-  EXPECT_EQ(s.solve_assuming(assume_both), Status::kUnsat);
-
-  // The assumption is gone: the formula itself is still satisfiable.
-  EXPECT_EQ(s.solve(), Status::kSat);
-}
-
-TEST(Assumptions, SatisfiedAssumptionsAreSkipped) {
-  Solver s;
-  const auto a = s.new_var();
-  const auto b = s.new_var();
-  ASSERT_TRUE(s.add_clause({pos(a)}));  // a fixed at level 0
-  const Lit assume[] = {pos(a), pos(b)};
-  EXPECT_EQ(s.solve_assuming(assume), Status::kSat);
-  EXPECT_TRUE(s.model()[a]);
-  EXPECT_TRUE(s.model()[b]);
-}
-
-TEST(Assumptions, ConflictingWithRootLevel) {
-  Solver s;
-  const auto a = s.new_var();
-  ASSERT_TRUE(s.add_clause({pos(a)}));
-  const Lit assume[] = {neg(a)};
-  EXPECT_EQ(s.solve_assuming(assume), Status::kUnsat);
-  EXPECT_EQ(s.solve(), Status::kSat);
-}
-
-TEST(Assumptions, IncrementalSweepOverCandidates) {
-  // (x0 | x1) & (x1 | x2) & (~x0 | ~x2): probe each variable both ways.
-  Solver s;
-  const auto x0 = s.new_var();
-  const auto x1 = s.new_var();
-  const auto x2 = s.new_var();
-  ASSERT_TRUE(s.add_clause({pos(x0), pos(x1)}));
-  ASSERT_TRUE(s.add_clause({pos(x1), pos(x2)}));
-  ASSERT_TRUE(s.add_clause({neg(x0), neg(x2)}));
-  int sat_count = 0;
-  for (std::uint32_t v : {x0, x1, x2}) {
-    for (const bool value : {false, true}) {
-      const Lit assume[] = {Lit::make(v, !value)};
-      if (s.solve_assuming(assume) == Status::kSat) ++sat_count;
-    }
-  }
-  EXPECT_EQ(sat_count, 5);  // only x1=false forces... check: x1=0 => x0 & x2 both true, conflict
-}
-
-}  // namespace
-}  // namespace csat::sat

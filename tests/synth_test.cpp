@@ -5,13 +5,10 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
-
 #include "aig/simulate.h"
 #include "aig/window.h"
 #include "cnf/tseitin.h"
 #include "common/rng.h"
-#include "common/stopwatch.h"
 #include "gen/arith.h"
 #include "gen/miter.h"
 #include "gen/random_circuit.h"
@@ -241,53 +238,6 @@ TEST(Resub, RemovesDuplicatedCone) {
   const Aig h = resub(g);
   EXPECT_TRUE(equal_by_sat(g, h));
   EXPECT_LE(h.num_ands(), g.num_ands());
-}
-
-// Scaling guard: each op on the 256-bit adder miter (7496 ANDs normalized)
-// against the 128-bit one (3351 ANDs). Linear work scales by ~2.2x; a walk
-// over the whole graph per node scales by 2.2^2 ~ 5x or more and fails the
-// 3.5x bound. The sizes alternate and each keeps its fastest run (at least
-// 5 runs, more until the small side has had 0.25 s), so load on a shared
-// machine hits both sides alike and sub-millisecond ops are not timer noise.
-double scaling_ratio(Aig (*op)(const Aig&)) {
-  const auto normalized = [](int width) {
-    return apply_recipe(cleanup_copy(gen::make_adder_miter(width)),
-                        normalization_recipe());
-  };
-  const Aig small = normalized(128);
-  const Aig large = normalized(256);
-  double best_small = 1e9;
-  double best_large = 1e9;
-  double total_small = 0;
-  for (int rep = 0; rep < 5 || total_small < 0.25; ++rep) {
-    for (const Aig* g : {&small, &large}) {
-      Stopwatch watch;
-      (void)op(*g);
-      const double s = watch.seconds();
-      if (g == &small) {
-        best_small = std::min(best_small, s);
-        total_small += s;
-      } else {
-        best_large = std::min(best_large, s);
-      }
-    }
-  }
-  return best_large / best_small;
-}
-
-constexpr double kMaxScalingRatio = 3.5;
-
-TEST(SynthScaling, Balance) {
-  EXPECT_LE(scaling_ratio(do_balance), kMaxScalingRatio);
-}
-TEST(SynthScaling, Rewrite) {
-  EXPECT_LE(scaling_ratio(do_rewrite), kMaxScalingRatio);
-}
-TEST(SynthScaling, Refactor) {
-  EXPECT_LE(scaling_ratio(do_refactor), kMaxScalingRatio);
-}
-TEST(SynthScaling, Resub) {
-  EXPECT_LE(scaling_ratio(do_resub), kMaxScalingRatio);
 }
 
 TEST(Recipe, ParseAndNames) {

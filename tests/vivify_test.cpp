@@ -150,37 +150,6 @@ TEST(Chrono, AlwaysChronoProvesPigeonhole) {
   }
 }
 
-TEST(Chrono, AssumptionSolvesStaySoundWithInprocessing) {
-  // solve_assuming under chrono + vivification (the incremental ATPG
-  // path): verdicts under assumptions must match appending the assumptions
-  // as units to a fresh formula.
-  Rng rng(0xA55);
-  SolverConfig cfg;
-  cfg.chrono_threshold = 2;
-  cfg.vivify_interval = 20;
-  for (int i = 0; i < 30; ++i) {
-    const int vars = 12 + static_cast<int>(rng.next_below(7));
-    const int clauses =
-        static_cast<int>(vars * (3.8 + 1.0 * rng.next_double()));
-    const Cnf f = random_3sat(vars, clauses, rng.next_u64());
-    Solver solver(cfg);
-    solver.add_formula(f);
-    for (int q = 0; q < 4; ++q) {
-      std::vector<cnf::Lit> assume;
-      for (int a = 0; a < 2; ++a) {
-        assume.push_back(cnf::Lit::make(
-            static_cast<std::uint32_t>(rng.next_below(vars)),
-            rng.next_bool()));
-      }
-      const Status status = solver.solve_assuming(assume);
-      Cnf g = f;
-      for (cnf::Lit l : assume) g.add_clause({l});
-      EXPECT_EQ(status == Status::kSat, brute_force_sat(g))
-          << "iter=" << i << " query=" << q;
-    }
-  }
-}
-
 TEST(Chrono, TrailReuseKeepsDeterminismAndCounts) {
   // Same formula + config => bit-identical statistics, and the reuse
   // counter must actually fire on a restart-heavy run.
